@@ -78,16 +78,34 @@ func Checksum(data []byte) uint16 {
 	return FinishChecksum(SumBytes(0, data))
 }
 
-// SumBytes accumulates data into a running ones'-complement sum.
+// SumBytes accumulates data, as big-endian 16-bit words with an odd tail
+// byte zero-padded, into a running ones'-complement sum. The result is
+// partially folded: it is congruent to the exact sum modulo 0xFFFF and is
+// zero only when the exact sum is, so FinishChecksum of it is the
+// checksum of the exact sum, but it is not the exact sum itself.
+//
+// The bulk loads big-endian 64-bit words and adds their 32-bit halves
+// (2¹⁶ ≡ 1 mod 0xFFFF, so a half stands for its two 16-bit words) into a
+// 64-bit accumulator, which cannot overflow below 16 GiB of data. The
+// accumulator folds back to 32 bits with end-around carry on return.
 func SumBytes(sum uint32, data []byte) uint32 {
+	acc := uint64(sum)
 	n := len(data)
-	for i := 0; i+1 < n; i += 2 {
-		sum += uint32(data[i])<<8 | uint32(data[i+1])
+	i := 0
+	for ; i+16 <= n; i += 16 {
+		w0 := binary.BigEndian.Uint64(data[i:])
+		w1 := binary.BigEndian.Uint64(data[i+8:])
+		acc += w0>>32 + w0&0xFFFFFFFF + w1>>32 + w1&0xFFFFFFFF
+	}
+	for ; i+1 < n; i += 2 {
+		acc += uint64(data[i])<<8 | uint64(data[i+1])
 	}
 	if n%2 == 1 {
-		sum += uint32(data[n-1]) << 8
+		acc += uint64(data[n-1]) << 8
 	}
-	return sum
+	acc = acc&0xFFFFFFFF + acc>>32
+	acc = acc&0xFFFFFFFF + acc>>32
+	return uint32(acc)
 }
 
 // FinishChecksum folds and complements a running sum.
