@@ -259,8 +259,7 @@ func runBurstReentry(n int) map[string]float64 {
 
 // runRecordStream measures the streaming v3 recorder on the standard
 // workload (100 ms lightweight-VMM run per op, segments flushed to a
-// discarding sink). Not gated yet — the baseline artifact carries it so
-// the trend is on record before a gate lands.
+// discarding sink). Gated (see gatedBenchmarks).
 func runRecordStream(n int) map[string]float64 {
 	var out map[string]float64
 	for i := 0; i < n; i++ {
@@ -301,8 +300,8 @@ func runRecordStream(n int) map[string]float64 {
 // the seek index with a small LRU budget, and returns a body that seeks
 // the replayer to n pseudo-random instructions. The recording is made
 // once so the measurement covers only the seek path (checkpoint restore,
-// segment faults, forward run). Not gated yet — the baseline artifact
-// carries it so the trend is on record before a gate lands.
+// segment faults, forward run). Gated (see gatedBenchmarks), so a seek
+// regression in the restore or replay layers fails CI.
 func newReplaySeekSession() func(n int) map[string]float64 {
 	w := lvmm.WorkloadDefaults(200)
 	w.Seconds = 0.1
@@ -411,7 +410,7 @@ func fatal(err error) {
 // gatedBenchmarks are the hot-path benchmarks the -compare regression
 // gate enforces: a CI run fails when any of these regresses in ns/op by
 // more than the tolerance against the committed baseline artifact.
-var gatedBenchmarks = []string{"Interpreter", "TrapRoundTrip", "TrapRoundTripBurst", "BurstReentry", "RecordStream", "ArmedObserver"}
+var gatedBenchmarks = []string{"Interpreter", "TrapRoundTrip", "TrapRoundTripBurst", "BurstReentry", "RecordStream", "ArmedObserver", "ReplaySeek"}
 
 // compareBaseline enforces the regression gate: every gated benchmark in
 // the current run must be within tolerance percent of the baseline's

@@ -76,8 +76,8 @@ func (c *CPU) WriteCoverage() uint64 { return c.writeCov }
 
 // SetWriteCoverage overrides the coverage map after memory was
 // rewritten wholesale outside the write path (machine Restore, which
-// zeroes RAM before copying snapshot chunks back in). Every block not
-// covered by cov must be entirely zero.
+// zeroes every covered byte outside the snapshot's chunks). Every block
+// not covered by cov must be entirely zero.
 func (c *CPU) SetWriteCoverage(cov uint64) { c.writeCov = cov }
 
 // AddWriteCoverage marks the blocks touched by an out-of-band write of

@@ -216,23 +216,7 @@ func New(cfg Config) *Machine {
 // booted, run — are safe to release.
 func (m *Machine) Release() {
 	ram := m.Bus.RAM()
-	cov := m.CPU.WriteCoverage()
-	for off := 0; off < len(ram); {
-		b := uint(off >> cpu.CovShift)
-		end := len(ram)
-		if b > 63 {
-			b = 63
-		} else if e := (int(b) + 1) << cpu.CovShift; e < end {
-			end = e
-		}
-		if cov&(1<<b) != 0 {
-			blk := ram[off:end]
-			for i := range blk {
-				blk[i] = 0
-			}
-		}
-		off = end
-	}
+	clearCovered(ram, m.CPU.WriteCoverage(), 0, len(ram))
 	bus.ReclaimRAM(ram)
 }
 

@@ -189,16 +189,26 @@ func (m *Machine) snapshotState() *Snapshot {
 // devices. The event queue is cleared and devices re-arm their pending
 // events at the snapshot's absolute cycles. The machine must have the
 // same RAM size as the snapshot (i.e., be built from the same Config).
+//
+// The write-coverage map proves a clear block is still zero, so only
+// covered blocks are cleared, and within them only the bytes no chunk
+// overwrites: one in-order pass clears the gap before each chunk, then
+// copies it. As with Release, a direct write to RAM that bypassed the
+// bus would escape the map and survive the restore.
 func (m *Machine) Restore(s *Snapshot) {
 	ram := m.Bus.RAM()
-	for i := range ram {
-		ram[i] = 0
-	}
+	cov := m.CPU.WriteCoverage()
+	done := 0 // RAM below this offset is final
 	for _, ch := range s.RAM {
-		copy(ram[ch.Addr:], ch.Data)
+		clearCovered(ram, cov, done, int(ch.Addr))
+		if end := int(ch.Addr) + copy(ram[ch.Addr:], ch.Data); end > done {
+			done = end
+		}
 	}
+	clearCovered(ram, cov, done, len(ram))
 	m.restoreState(s)
-	// Every block outside the restored chunks was just zeroed, so the
+	// Every byte outside the restored chunks is now zero (covered blocks
+	// were cleared, uncovered ones were zero already), so the
 	// write-coverage map restarts at exactly the restored image's extent.
 	m.CPU.SetWriteCoverage(0)
 	for _, ch := range s.RAM {
@@ -262,6 +272,25 @@ func (m *Machine) restoreState(s *Snapshot) {
 	m.irqDelivered = s.IRQDelivered
 	m.faultsInjected = s.FaultsInjected
 	m.rearmSpurious()
+}
+
+// clearCovered zeroes ram[lo:hi] wherever the coverage map cov marks the
+// 1 MB block as possibly written; bit 63 stands for everything from
+// 63 MB up.
+func clearCovered(ram []byte, cov uint64, lo, hi int) {
+	for lo < hi {
+		b := uint(lo >> cpu.CovShift)
+		end := hi
+		if b >= 63 {
+			b = 63
+		} else if e := (int(b) + 1) << cpu.CovShift; e < end {
+			end = e
+		}
+		if cov&(1<<b) != 0 {
+			clear(ram[lo:end])
+		}
+		lo = end
+	}
 }
 
 // allZero scans word-wise: the keyframe sparse scan walks all of

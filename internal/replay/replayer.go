@@ -33,6 +33,12 @@ type Replayer struct {
 	verifyCursor int // next verification event expected
 	inputCursor  int // next input event to re-inject
 
+	// nextInput caches the first EvInput index at or after verifyCursor
+	// (NumEvents when none remains), so advanceCursor steps over inputs
+	// without reading event payloads; below verifyCursor it is stale and
+	// is refreshed from the source's memoized positions.
+	nextInput int
+
 	endCycle uint64
 	endInstr uint64
 
@@ -110,7 +116,12 @@ func (r *Replayer) installHooks() {
 		r.v.SetVTimerTrace(func() { r.observe(Event{Kind: EvTimer}) })
 	}
 	r.m.NIC.SetFrameTap(func(frame []byte, cycle uint64) {
-		r.observe(Event{Kind: EvFrame, Digest: FrameDigest(frame)})
+		// Only a verifying replay compares the digest; seeks skip the hash.
+		var d uint64
+		if r.verify && r.err == nil {
+			d = FrameDigest(frame)
+		}
+		r.observe(Event{Kind: EvFrame, Digest: d})
 	})
 	r.m.SetFaultTrace(func(kind, unit uint8, arg uint64) {
 		r.observe(Event{Kind: EvFault, Line: kind, Chan: unit, Digest: arg})
@@ -121,35 +132,26 @@ func (r *Replayer) installHooks() {
 // timeline. The cursor advances during every replay execution (seeks
 // included) so checkpoints taken mid-session know how much of the
 // timeline has been consumed; the comparison itself only runs during a
-// verifying replay (RunToEnd).
+// verifying replay (RunToEnd), and only it reads the recorded event.
 func (r *Replayer) observe(got Event) {
-	total := r.src.NumEvents()
-	var want Event
-	for {
-		if r.verifyCursor >= total {
-			// A salvaged trace's timeline ends where truncation cut it,
-			// possibly before the synthesized end cycle: re-executed
-			// occurrences past the recorded prefix are expected, not a
-			// divergence — the prefix itself was fully verified.
-			if r.verify && !r.salvaged && r.err == nil {
-				r.err = fmt.Errorf("replay diverged: %v at cycle %d (instr %d) beyond the recorded timeline",
-					got.Kind, r.m.Clock(), r.m.CPU.Stat.Instructions)
-			}
-			return
-		}
-		ev, err := r.src.Event(r.verifyCursor)
-		if err != nil {
-			r.fail(err)
-			return
-		}
-		if ev.Kind != EvInput {
-			want = ev
-			break
-		}
-		r.verifyCursor++
-	}
-	r.verifyCursor++
+	idx := r.advanceCursor()
 	if !r.verify || r.err != nil {
+		return
+	}
+	if idx < 0 {
+		// A salvaged trace's timeline ends where truncation cut it,
+		// possibly before the synthesized end cycle: re-executed
+		// occurrences past the recorded prefix are expected, not a
+		// divergence — the prefix itself was fully verified.
+		if !r.salvaged {
+			r.err = fmt.Errorf("replay diverged: %v at cycle %d (instr %d) beyond the recorded timeline",
+				got.Kind, r.m.Clock(), r.m.CPU.Stat.Instructions)
+		}
+		return
+	}
+	want, err := r.src.Event(idx)
+	if err != nil {
+		r.fail(err)
 		return
 	}
 	got.Cycle = r.m.Clock()
@@ -158,10 +160,39 @@ func (r *Replayer) observe(got Event) {
 		want.Digest != got.Digest ||
 		want.Cycle != got.Cycle || want.Instr != got.Instr {
 		r.err = fmt.Errorf("replay diverged at event %d: recorded %v line=%d chan=%d cycle=%d instr=%d digest=%#x, replayed %v line=%d chan=%d cycle=%d instr=%d digest=%#x",
-			r.verifyCursor-1,
+			idx,
 			want.Kind, want.Line, want.Chan, want.Cycle, want.Instr, want.Digest,
 			got.Kind, got.Line, got.Chan, got.Cycle, got.Instr, got.Digest)
 	}
+}
+
+// advanceCursor consumes the next verification event: it moves
+// verifyCursor past it, stepping over EvInput positions, and returns its
+// index, or -1 when the timeline has none left (or the source failed).
+// Inputs are found through the source's memoized input index rather than
+// by decoding event payloads; the source is asked again only once the
+// cursor passes the cached input, so a replay costs one NextInput call
+// per input crossed, not one per event.
+func (r *Replayer) advanceCursor() int {
+	total := r.src.NumEvents()
+	for r.verifyCursor < total {
+		if r.nextInput < r.verifyCursor {
+			idx, err := r.src.NextInput(r.verifyCursor)
+			if err != nil {
+				r.fail(err)
+				return -1
+			}
+			if idx < 0 {
+				idx = total
+			}
+			r.nextInput = idx
+		}
+		r.verifyCursor++
+		if r.nextInput != r.verifyCursor-1 {
+			return r.verifyCursor - 1
+		}
+	}
+	return -1
 }
 
 // restoreCheckpoint rewinds machine, monitor, and receiver to the
@@ -233,6 +264,7 @@ func (r *Replayer) restoreCheckpoint(i int) error {
 	}
 	r.verifyCursor = cp.EventIndex
 	r.inputCursor = cp.EventIndex
+	r.nextInput = -1 // the cursor may have moved backwards
 	return nil
 }
 
@@ -282,19 +314,12 @@ func (r *Replayer) RunToEnd() error {
 	if r.err != nil {
 		return r.err
 	}
-	total := r.src.NumEvents()
-	for r.verifyCursor < total {
-		ev, err := r.src.Event(r.verifyCursor)
-		if err != nil {
-			return err
-		}
-		if ev.Kind != EvInput {
-			break
-		}
-		r.verifyCursor++
+	idx := r.advanceCursor()
+	if r.err != nil {
+		return r.err
 	}
-	if r.verifyCursor != total {
-		want, err := r.src.Event(r.verifyCursor)
+	if idx >= 0 {
+		want, err := r.src.Event(idx)
 		if err != nil {
 			return err
 		}
