@@ -196,7 +196,7 @@ func seekMatch(m farm.Match, budget int64) error {
 	if err != nil {
 		return err
 	}
-	defer replay.CloseSource(src)
+	defer src.Close()
 	rt, err := lvmm.ReplaySource(src)
 	if err != nil {
 		return err

@@ -52,7 +52,6 @@ func main() {
 	csv := flag.Bool("csv", false, "print flat CSV (one row per run) instead of the table")
 	out := flag.String("out", "", `write per-run results as JSON to this path ("-" for stdout)`)
 	record := flag.String("record", "", "stream a v3 execution trace per scenario into this directory (replayable with hxreplay)")
-	recordSync := flag.Bool("record-sync", false, "with -record: serialize trace segments on the run goroutine instead of the async pipeline (bytes are identical; debugging aid)")
 	flag.Parse()
 
 	var mx *fleet.Matrix
@@ -89,9 +88,6 @@ func main() {
 			if scs[i].Record == "" {
 				scs[i].Record = filepath.Join(*record,
 					fmt.Sprintf("%03d-%s.trc", i, fleet.SafeName(scs[i].Name)))
-			}
-			if *recordSync {
-				scs[i].RecordSync = true
 			}
 		}
 	}

@@ -16,8 +16,10 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -56,7 +58,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   hxreplay record -o FILE [-platform P] [-rate MBPS] [-seconds S]
-                  [-snap-interval CYCLES] [-keyframe-every N] [-v2]
+                  [-snap-interval CYCLES] [-keyframe-every N]
   hxreplay replay FILE
   hxreplay info   FILE
   hxreplay diff   FILE1 FILE2
@@ -83,8 +85,6 @@ func cmdRecord(args []string) error {
 	seconds := fs.Float64("seconds", 0.5, "virtual run length")
 	snapInterval := fs.Uint64("snap-interval", 0, "snapshot spacing in cycles (0 = default)")
 	keyframeEvery := fs.Int("keyframe-every", 0, "full keyframe every N snapshots, deltas between (0 = default, 1 = no deltas)")
-	v2 := fs.Bool("v2", false, "buffer in memory and write the legacy monolithic v2 format")
-	sync := fs.Bool("sync", false, "serialize segments on the run goroutine instead of the async pipeline (bytes are identical; debugging aid)")
 	fs.Parse(args)
 
 	p, err := parsePlatform(*platform)
@@ -97,39 +97,11 @@ func cmdRecord(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := lvmm.RecordOptions{SnapshotInterval: *snapInterval, KeyframeEvery: *keyframeEvery, Sync: *sync}
+	opts := lvmm.RecordOptions{SnapshotInterval: *snapInterval, KeyframeEvery: *keyframeEvery}
 
-	if *v2 {
-		// Legacy path: accumulate the whole trace, then one blob. The v2
-		// container has no delta segments, so force full snapshots.
-		opts.KeyframeEvery = 1
-		rec := t.Record(opts)
-		stats, err := t.Run()
-		if err != nil {
-			return err
-		}
-		tr := rec.Finish()
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		if err := tr.WriteV2(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Println(stats)
-		fmt.Printf("recorded %d events, %d snapshots, %d cycles, %d instructions -> %s (v2)\n",
-			len(tr.Events), len(tr.Checkpoints), tr.EndCycle, tr.EndInstr, *out)
-		fmt.Printf("final state digest %#016x\n", tr.EndDigest)
-		return nil
-	}
-
-	// Streaming path (default): segments flush to the file as the run
-	// proceeds; recorder memory stays bounded by one event batch plus
-	// one snapshot however long the recording runs.
+	// Segments flush to the file as the run proceeds; recorder memory
+	// stays bounded by one event batch plus one snapshot however long the
+	// recording runs.
 	f, err := os.Create(*out)
 	if err != nil {
 		return err
@@ -164,12 +136,12 @@ func cmdReplay(args []string) error {
 	}
 	// v3 traces open lazily through the seek index: the replay session
 	// holds O(LRU budget) of trace data however large the file is. v2
-	// monolithic traces have no index and load fully.
+	// monolithic traces have no index and are transcoded in memory.
 	src, err := replay.OpenSourceFile(args[0], 0)
 	if err != nil {
 		return enrichOpenError(args[0], err)
 	}
-	defer replay.CloseSource(src)
+	defer src.Close()
 	rt, err := lvmm.ReplaySource(src)
 	if err != nil {
 		return err
@@ -263,7 +235,14 @@ func cmdInfo(args []string) error {
 	if err != nil {
 		return enrichOpenError(args[0], err)
 	}
-	defer replay.CloseSource(src)
+	defer src.Close()
+	// A v2 file opens as an in-memory v3 transcode; its version, and so
+	// whether the segment offsets below are file offsets, comes from the
+	// file itself.
+	fileMeta, err := replay.ReadTraceMetaFile(args[0])
+	if err != nil {
+		return err
+	}
 	m := src.Meta()
 	endCycle, endInstr, _, endDigest := src.End()
 	fmt.Printf("platform:    %v\n", lvmm.Platform(m.Platform))
@@ -286,35 +265,11 @@ func cmdInfo(args []string) error {
 		endCycle, 1e3*float64(endCycle)/float64(isa.ClockHz), endInstr)
 	fmt.Printf("end digest:  %#016x\n", endDigest)
 
-	keyframes, deltas := 0, 0
-	for i := 0; i < src.NumCheckpoints(); i++ {
-		if src.CheckpointMeta(i).Delta {
-			deltas++
-		} else {
-			keyframes++
-		}
-	}
-
-	lt, lazy := src.(*replay.LazyTrace)
-	if !lazy {
-		// Legacy v2 blob: everything is resident anyway.
-		counts := map[replay.EventKind]int{}
-		for i := 0; i < src.NumEvents(); i++ {
-			ev, _ := src.Event(i)
-			counts[ev.Kind]++
-		}
-		printEventCounts(src.NumEvents(), counts)
-		fmt.Printf("snapshots:   %d (%d keyframes, %d deltas)\n", src.NumCheckpoints(), keyframes, deltas)
-		printCheckpointStubs(src)
-		fmt.Printf("segments:    none (v%d monolithic blob)\n", m.Version)
-		return nil
-	}
-
-	// v3: all per-segment stats come from the seek index; only the event
-	// kind breakdown needs payloads, decoded one batch at a time through
-	// the reader (never cached) — info on a multi-GB trace stays
-	// O(largest segment) resident.
-	sr := lt.Reader()
+	// All per-segment stats come from the seek index; only the event kind
+	// breakdown needs payloads, decoded one batch at a time through the
+	// reader (never cached) — info on a multi-GB trace stays O(largest
+	// segment) resident.
+	sr := src.Reader()
 	segs := sr.Segments()
 	counts := map[replay.EventKind]int{}
 	events := 0
@@ -331,9 +286,33 @@ func cmdInfo(args []string) error {
 			counts[ev.Kind]++
 		}
 	}
-	printEventCounts(events, counts)
-	fmt.Printf("snapshots:   %d (%d keyframes, %d deltas)\n", src.NumCheckpoints(), keyframes, deltas)
-	printCheckpointStubs(src)
+	fmt.Printf("events:      %d (irq %d, vtimer %d, frame %d, input %d, fault %d)\n", events,
+		counts[replay.EvIRQ], counts[replay.EvTimer], counts[replay.EvFrame],
+		counts[replay.EvInput], counts[replay.EvFault])
+
+	// Checkpoints come from the always-resident metadata, so no snapshot
+	// payload is materialized for the listing.
+	keyframes := 0
+	for i := 0; i < src.NumCheckpoints(); i++ {
+		if !src.CheckpointMeta(i).Delta {
+			keyframes++
+		}
+	}
+	fmt.Printf("snapshots:   %d (%d keyframes, %d deltas)\n",
+		src.NumCheckpoints(), keyframes, src.NumCheckpoints()-keyframes)
+	for i := 0; i < src.NumCheckpoints(); i++ {
+		cm := src.CheckpointMeta(i)
+		kind := "keyframe"
+		if cm.Delta {
+			kind = "delta"
+		}
+		fmt.Printf("  #%-3d instr %-12d cycle %-14d %s\n", cm.Index, cm.Instr, cm.Cycle, kind)
+	}
+
+	if fileMeta.Version != replay.TraceVersion {
+		fmt.Printf("segments:    none (v%d monolithic blob)\n", fileMeta.Version)
+		return nil
+	}
 	fmt.Printf("segments:    %d\n", len(segs))
 	for i, sg := range segs {
 		detail := ""
@@ -349,67 +328,77 @@ func cmdInfo(args []string) error {
 	return nil
 }
 
-func printEventCounts(total int, counts map[replay.EventKind]int) {
-	fmt.Printf("events:      %d (irq %d, vtimer %d, frame %d, input %d, fault %d)\n", total,
-		counts[replay.EvIRQ], counts[replay.EvTimer], counts[replay.EvFrame],
-		counts[replay.EvInput], counts[replay.EvFault])
-}
-
-// printCheckpointStubs lists checkpoints from the always-resident
-// metadata (the seek index for a lazy source), so no snapshot payload
-// is materialized for the listing.
-func printCheckpointStubs(src replay.Source) {
-	for i := 0; i < src.NumCheckpoints(); i++ {
-		cm := src.CheckpointMeta(i)
-		kind := "keyframe"
-		if cm.Delta {
-			kind = "delta"
-		}
-		fmt.Printf("  #%-3d instr %-12d cycle %-14d %s\n", cm.Index, cm.Instr, cm.Cycle, kind)
-	}
-}
+// diffBudget is the segment cache each diffed trace gets. The cache
+// always keeps its newest entry, so a one-byte budget holds exactly the
+// event batch being compared: diff is O(segment) however long the
+// traces are.
+const diffBudget = 1
 
 func cmdDiff(args []string) error {
 	if len(args) != 2 {
 		return fmt.Errorf("usage: hxreplay diff FILE1 FILE2")
 	}
-	a, err := replay.ReadTraceFile(args[0])
+	return diffTraces(os.Stdout, args[0], args[1])
+}
+
+// diffTraces reports to w where the timelines of two trace files first
+// part ways: every event field, input bytes included, then the end seal.
+func diffTraces(w io.Writer, pathA, pathB string) error {
+	a, err := replay.OpenSourceFile(pathA, diffBudget)
 	if err != nil {
-		return err
+		return enrichOpenError(pathA, err)
 	}
-	b, err := replay.ReadTraceFile(args[1])
+	defer a.Close()
+	b, err := replay.OpenSourceFile(pathB, diffBudget)
 	if err != nil {
-		return err
+		return enrichOpenError(pathB, err)
 	}
-	if a.EndDigest == b.EndDigest && a.EndCycle == b.EndCycle && len(a.Events) == len(b.Events) {
-		fmt.Printf("traces are equivalent: %d events, final digest %#016x\n", len(a.Events), a.EndDigest)
-		return nil
-	}
-	n := len(a.Events)
-	if len(b.Events) < n {
-		n = len(b.Events)
-	}
+	defer b.Close()
+
+	n := min(a.NumEvents(), b.NumEvents())
 	for i := 0; i < n; i++ {
-		x, y := a.Events[i], b.Events[i]
+		x, err := a.Event(i)
+		if err != nil {
+			return err
+		}
+		y, err := b.Event(i)
+		if err != nil {
+			return err
+		}
 		if x.Kind != y.Kind || x.Cycle != y.Cycle || x.Instr != y.Instr ||
-			x.Line != y.Line || x.Digest != y.Digest {
-			fmt.Printf("first divergence at event %d:\n", i)
-			fmt.Printf("  %s: %v line=%d cycle=%d instr=%d digest=%#x\n",
-				args[0], x.Kind, x.Line, x.Cycle, x.Instr, x.Digest)
-			fmt.Printf("  %s: %v line=%d cycle=%d instr=%d digest=%#x\n",
-				args[1], y.Kind, y.Line, y.Cycle, y.Instr, y.Digest)
+			x.Line != y.Line || x.Chan != y.Chan || x.Digest != y.Digest ||
+			!bytes.Equal(x.Data, y.Data) {
+			fmt.Fprintf(w, "first divergence at event %d:\n", i)
+			fmt.Fprintf(w, "  %s: %s\n", pathA, describeEvent(x))
+			fmt.Fprintf(w, "  %s: %s\n", pathB, describeEvent(y))
 			return nil
 		}
 	}
-	if len(a.Events) != len(b.Events) {
-		longer, extra := args[0], len(a.Events)-len(b.Events)
+	if a.NumEvents() != b.NumEvents() {
+		longer, extra := pathA, a.NumEvents()-b.NumEvents()
 		if extra < 0 {
-			longer, extra = args[1], -extra
+			longer, extra = pathB, -extra
 		}
-		fmt.Printf("timelines identical for %d events; %s has %d more\n", n, longer, extra)
+		fmt.Fprintf(w, "timelines identical for %d events; %s has %d more\n", n, longer, extra)
 		return nil
 	}
-	fmt.Printf("event timelines identical; final digests differ: %#016x vs %#016x (cycle %d vs %d)\n",
-		a.EndDigest, b.EndDigest, a.EndCycle, b.EndCycle)
+	aCycle, _, _, aDigest := a.End()
+	bCycle, _, _, bDigest := b.End()
+	if aDigest == bDigest && aCycle == bCycle {
+		fmt.Fprintf(w, "traces are equivalent: %d events, final digest %#016x\n", n, aDigest)
+		return nil
+	}
+	fmt.Fprintf(w, "event timelines identical; final digests differ: %#016x vs %#016x (cycle %d vs %d)\n",
+		aDigest, bDigest, aCycle, bCycle)
 	return nil
+}
+
+// describeEvent renders one timeline entry for a diff report.
+func describeEvent(ev replay.Event) string {
+	s := fmt.Sprintf("%v line=%d chan=%d cycle=%d instr=%d digest=%#x",
+		ev.Kind, ev.Line, ev.Chan, ev.Cycle, ev.Instr, ev.Digest)
+	if ev.Kind == replay.EvInput {
+		s += fmt.Sprintf(" data=%q", ev.Data)
+	}
+	return s
 }

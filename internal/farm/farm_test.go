@@ -198,21 +198,26 @@ func TestParsePredicate(t *testing.T) {
 }
 
 // synthSource builds an in-memory timeline for precise Eval semantics.
-func synthSource(end uint64, events ...replay.Event) replay.Source {
+func synthSource(t *testing.T, end uint64, events ...replay.Event) *replay.LazyTrace {
+	t.Helper()
 	tr := &replay.Trace{
 		Events:      events,
 		Checkpoints: []replay.Checkpoint{{Index: 0, Instr: 0, Cycle: 0}},
 		EndCycle:    end,
 		EndInstr:    end / 2,
 	}
-	return tr.AsSource()
+	lt, err := tr.Lazy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lt
 }
 
 func TestPredicateEval(t *testing.T) {
 	ev := func(kind replay.EventKind, cycle uint64) replay.Event {
 		return replay.Event{Kind: kind, Cycle: cycle, Instr: cycle / 2}
 	}
-	timeline := synthSource(10_000,
+	timeline := synthSource(t, 10_000,
 		ev(replay.EvFrame, 1_000),
 		ev(replay.EvIRQ, 1_500),
 		ev(replay.EvFrame, 1_200),
@@ -385,7 +390,7 @@ func TestFarmEndToEnd(t *testing.T) {
 	if g := endCycle - prev; g > maxGap {
 		maxGap = g
 	}
-	replay.CloseSource(src)
+	src.Close()
 	if maxGap == 0 {
 		t.Fatal("probe trace has no frame gap to query for")
 	}
@@ -441,7 +446,7 @@ func TestFarmEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer replay.CloseSource(msrc)
+	defer msrc.Close()
 	rt, err := lvmm.ReplaySource(msrc)
 	if err != nil {
 		t.Fatal(err)

@@ -116,7 +116,7 @@ func (p Predicate) cmp(v uint64) bool {
 // preceding the gap — the instant the stall started); for threshold
 // counts (>=, >), the occurrence that crossed the threshold; for
 // upper-bound counts, the end of the recording (only decidable there).
-func (p Predicate) Eval(src replay.Source) (bool, Point, error) {
+func (p Predicate) Eval(src *replay.LazyTrace) (bool, Point, error) {
 	endCycle, endInstr, _, _ := src.End()
 	start := src.CheckpointMeta(0)
 	total := src.NumEvents()
@@ -250,7 +250,7 @@ func (s *Store) Query(ctx context.Context, pred Predicate, opts QueryOptions) (*
 			slots[i].err = fmt.Errorf("run %s: %w", runs[i].ID, err)
 			return
 		}
-		defer replay.CloseSource(src)
+		defer src.Close()
 		slots[i].matched, slots[i].pt, slots[i].err = pred.Eval(src)
 		if slots[i].err != nil {
 			slots[i].err = fmt.Errorf("run %s: %w", runs[i].ID, slots[i].err)

@@ -102,12 +102,6 @@ type Scenario struct {
 	// RecordSnapInterval is the recording's snapshot spacing in cycles
 	// (0 = replay.DefaultSnapshotInterval).
 	RecordSnapInterval uint64 `json:"record_snap_interval,omitempty"`
-	// RecordSync serializes trace segments on the scenario's own
-	// goroutine instead of the recorder's pipelined async writer. The
-	// trace bytes are identical either way — and independent of the
-	// fleet's -j level in both modes — so this is a debugging escape
-	// hatch, not a correctness knob.
-	RecordSync bool `json:"record_sync,omitempty"`
 	// Fault, when non-nil and non-empty, installs a deterministic
 	// fault-injection plan on the scenario's machine. Faults are
 	// scheduled in simulated quantities only, so a faulty scenario is
@@ -305,7 +299,7 @@ func RunOne(ctx context.Context, sc Scenario) Result {
 			return res
 		}
 		rec, err = replay.NewStreamRecorder(recFile, m, mon, recv, meta,
-			replay.Options{SnapshotInterval: sc.RecordSnapInterval, Sync: sc.RecordSync})
+			replay.Options{SnapshotInterval: sc.RecordSnapInterval})
 		if err != nil {
 			recFile.Close()
 			res.Err = err.Error()

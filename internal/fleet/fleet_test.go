@@ -54,10 +54,9 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 
 // TestRecordedTraceDeterministicAcrossJobsAndPipeline extends the fleet
 // determinism guarantee to recorded artifacts: the trace file a scenario
-// streams must be byte-identical whether the sweep runs sequentially or
-// at -j 4, and whether segments are serialized through the async
-// pipeline (default) or on the run goroutine (RecordSync) — four
-// configurations, one canonical byte sequence per scenario.
+// streams through the recorder's async pipeline must be byte-identical
+// whether the sweep runs sequentially or at -j 4 — one canonical byte
+// sequence per scenario.
 func TestRecordedTraceDeterministicAcrossJobsAndPipeline(t *testing.T) {
 	mx := &Matrix{
 		Defaults:  Scenario{DurationTicks: 8},
@@ -66,18 +65,17 @@ func TestRecordedTraceDeterministicAcrossJobsAndPipeline(t *testing.T) {
 	}
 	base := mustExpand(t, mx)
 
-	record := func(jobs int, sync bool) map[string][]byte {
+	record := func(jobs int) map[string][]byte {
 		t.Helper()
 		dir := t.TempDir()
 		scs := append([]Scenario(nil), base...)
 		for i := range scs {
 			scs[i].Record = filepath.Join(dir, SafeName(scs[i].Name)+".trc")
-			scs[i].RecordSync = sync
 		}
 		traces := map[string][]byte{}
 		for _, r := range (Runner{Jobs: jobs}).Run(context.Background(), scs) {
 			if r.Err != "" {
-				t.Fatalf("jobs=%d sync=%v %s: %s", jobs, sync, r.Scenario.Name, r.Err)
+				t.Fatalf("jobs=%d %s: %s", jobs, r.Scenario.Name, r.Err)
 			}
 			data, err := os.ReadFile(r.TracePath)
 			if err != nil {
@@ -88,18 +86,26 @@ func TestRecordedTraceDeterministicAcrossJobsAndPipeline(t *testing.T) {
 		return traces
 	}
 
-	want := record(1, false)
-	for _, cfg := range []struct {
-		jobs int
-		sync bool
-	}{{4, false}, {1, true}, {4, true}} {
-		got := record(cfg.jobs, cfg.sync)
-		for name, data := range want {
-			if !bytes.Equal(got[name], data) {
-				t.Errorf("jobs=%d sync=%v %s: trace bytes differ from the jobs=1 async recording (%d vs %d bytes)",
-					cfg.jobs, cfg.sync, name, len(got[name]), len(data))
-			}
+	want := record(1)
+	got := record(4)
+	for name, data := range want {
+		if !bytes.Equal(got[name], data) {
+			t.Errorf("jobs=4 %s: trace bytes differ from the jobs=1 recording (%d vs %d bytes)",
+				name, len(got[name]), len(data))
 		}
+	}
+}
+
+// TestMatrixRejectsRecordSync: recordings always stream through the
+// async pipeline, so a matrix still asking for the retired on-goroutine
+// writer fails to load instead of being silently ignored.
+func TestMatrixRejectsRecordSync(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sync.json")
+	if err := os.WriteFile(path, []byte(`{"defaults": {"record_sync": true}, "rates": [100]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadMatrix(path); err == nil || !strings.Contains(err.Error(), "record_sync") {
+		t.Fatalf("LoadMatrix accepted record_sync: %v", err)
 	}
 }
 

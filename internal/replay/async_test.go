@@ -2,35 +2,51 @@ package replay
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 
 	"lvmm/internal/machine"
 )
 
+// firstDiff returns the first byte offset where a and b differ (the
+// shorter length when one is a prefix of the other), or -1 if equal.
+func firstDiff(a, b []byte) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return n
+	}
+	return -1
+}
+
 // TestAsyncRecordDifferential is the async pipeline's correctness
-// anchor: recording the same deterministic run through the pipelined
-// writer and through the synchronous path must produce byte-identical
-// containers — not just equivalent ones — and the recorded trace must
-// replay bit-identically on both execution engines. Byte-identity is
-// what makes the pipeline invisible: trace files hash the same, diff
-// the same, and golden fixtures stay valid regardless of which writer
-// produced them.
+// anchor: recording the same deterministic run with one encoder worker
+// (GOMAXPROCS 1) and with three (GOMAXPROCS 4) must produce
+// byte-identical containers — not just equivalent ones — and both must
+// equal Trace.Write of the read-back trace, the sequential reference
+// writer. The recording uses DefaultEventBatch, the batch size Write
+// splits events at, so the batch boundaries match. Byte-identity is what
+// makes the pipeline invisible: trace files hash the same, diff the
+// same, and golden fixtures stay valid whatever the host's core count.
 func TestAsyncRecordDifferential(t *testing.T) {
-	opts := Options{SnapshotInterval: 20_000_000, KeyframeEvery: 3, EventBatch: 64}
-	record := func(sync bool) ([]byte, StreamStats) {
+	opts := Options{SnapshotInterval: 20_000_000, KeyframeEvery: 3}
+	record := func(procs int) ([]byte, StreamStats) {
 		t.Helper()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		m, v := buildTrapDense(t, false)
 		var buf bytes.Buffer
-		o := opts
-		o.Sync = sync
-		rec, err := NewStreamRecorder(&buf, m, v, nil, TraceMeta{Custom: true}, o)
+		rec, err := NewStreamRecorder(&buf, m, v, nil, TraceMeta{Custom: true}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec.Start()
 		if reason := m.Run(400_000_000); reason != machine.StopGuestDone {
-			t.Fatalf("record (sync=%v): stop %v pc=%08x", sync, reason, m.CPU.PC)
+			t.Fatalf("record (GOMAXPROCS %d): stop %v pc=%08x", procs, reason, m.CPU.PC)
 		}
 		stats, err := rec.FinishStream()
 		if err != nil {
@@ -39,36 +55,33 @@ func TestAsyncRecordDifferential(t *testing.T) {
 		return buf.Bytes(), stats
 	}
 
-	asyncBytes, asyncStats := record(false)
-	syncBytes, syncStats := record(true)
-
-	if !bytes.Equal(asyncBytes, syncBytes) {
-		n := len(asyncBytes)
-		if len(syncBytes) < n {
-			n = len(syncBytes)
-		}
-		diff := n
-		for i := 0; i < n; i++ {
-			if asyncBytes[i] != syncBytes[i] {
-				diff = i
-				break
-			}
-		}
-		t.Fatalf("async and sync containers diverge at byte %d (sizes %d vs %d)",
-			diff, len(asyncBytes), len(syncBytes))
+	oneBytes, oneStats := record(1)
+	fourBytes, fourStats := record(4)
+	if at := firstDiff(oneBytes, fourBytes); at >= 0 {
+		t.Fatalf("1- and 3-encoder containers diverge at byte %d (sizes %d vs %d)",
+			at, len(oneBytes), len(fourBytes))
 	}
-	if asyncStats != syncStats {
-		t.Fatalf("stats diverge:\nasync: %+v\nsync:  %+v", asyncStats, syncStats)
+	if oneStats != fourStats {
+		t.Fatalf("stats diverge:\nGOMAXPROCS 1: %+v\nGOMAXPROCS 4: %+v", oneStats, fourStats)
 	}
-	if asyncStats.Deltas == 0 || asyncStats.Keyframes < 2 {
-		t.Fatalf("workload too small to exercise the pipeline: %+v", asyncStats)
+	if oneStats.Deltas == 0 || oneStats.Keyframes < 2 {
+		t.Fatalf("workload too small to exercise the pipeline: %+v", oneStats)
 	}
 
-	// The shared container replays bit-identically on both engines.
-	tr, err := ReadTrace(bytes.NewReader(asyncBytes))
+	tr, err := ReadTrace(bytes.NewReader(oneBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var ref bytes.Buffer
+	if err := tr.Write(&ref); err != nil {
+		t.Fatal(err)
+	}
+	if at := firstDiff(oneBytes, ref.Bytes()); at >= 0 {
+		t.Fatalf("pipeline and Trace.Write diverge at byte %d (sizes %d vs %d)",
+			at, len(oneBytes), ref.Len())
+	}
+
+	// The shared container replays bit-identically on both engines.
 	for _, slow := range []bool{false, true} {
 		m2, v2 := buildTrapDense(t, slow)
 		rp, err := NewReplayer(tr, m2, v2, nil)
@@ -78,6 +91,53 @@ func TestAsyncRecordDifferential(t *testing.T) {
 		if err := rp.RunToEnd(); err != nil {
 			t.Fatalf("replay (slow=%v) diverged: %v", slow, err)
 		}
+	}
+}
+
+// TestInMemoryRecorderMatchesStream pins that NewRecorder is the stream
+// recorder: the same run recorded with NewRecorder and with
+// NewStreamRecorder, both at default options, yields a trace whose
+// Trace.Write is exactly the streamed container.
+func TestInMemoryRecorderMatchesStream(t *testing.T) {
+	m, v, recv := buildStreamLW(t)
+	rec := NewRecorder(m, v, recv, TraceMeta{Custom: true}, Options{})
+	rec.Start()
+	if reason := m.Run(400_000_000); reason != machine.StopGuestDone {
+		t.Fatalf("record: stop %v pc=%08x", reason, m.CPU.PC)
+	}
+	tr := rec.Finish()
+	if tr == nil {
+		t.Fatalf("Finish returned no trace: %v", rec.Err())
+	}
+	if again := rec.Finish(); again != tr {
+		t.Fatal("a repeat Finish did not return the cached trace")
+	}
+
+	m2, v2, recv2 := buildStreamLW(t)
+	var streamed bytes.Buffer
+	srec, err := NewStreamRecorder(&streamed, m2, v2, recv2, TraceMeta{Custom: true}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srec.Start()
+	if reason := m2.Run(400_000_000); reason != machine.StopGuestDone {
+		t.Fatalf("stream record: stop %v pc=%08x", reason, m2.CPU.PC)
+	}
+	stats, err := srec.FinishStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Keyframes+stats.Deltas < 2 || stats.Events == 0 {
+		t.Fatalf("run too small to compare containers: %+v", stats)
+	}
+
+	var written bytes.Buffer
+	if err := tr.Write(&written); err != nil {
+		t.Fatal(err)
+	}
+	if at := firstDiff(written.Bytes(), streamed.Bytes()); at >= 0 {
+		t.Fatalf("Trace.Write(rec.Finish()) and the streamed container diverge at byte %d (sizes %d vs %d)",
+			at, written.Len(), streamed.Len())
 	}
 }
 

@@ -17,7 +17,7 @@ const DefaultAsyncQueue = 8
 // machine.Snapshot). An encoder worker fills body/err and closes ready;
 // the writer goroutine waits on ready and commits jobs in enqueue
 // order, which is what keeps the byte stream identical to the
-// synchronous writer's.
+// sequential writer's (Trace.Write).
 type asyncJob struct {
 	kind    byte
 	payload any
@@ -32,14 +32,13 @@ type asyncJob struct {
 // and a single writer goroutine frames the finished bodies onto the
 // underlying segWriter in FIFO enqueue order. Because encodeSegment is
 // a pure function of the payload and the commit order matches the
-// enqueue order, the container is bit-identical to one produced by the
-// synchronous path.
+// enqueue order, the container is bit-identical whatever the encoder
+// count, and to Trace.Write of the same trace.
 //
 // Errors are sticky and first-wins: an encode or write failure is
 // latched, later enqueues become cheap drops, and seal returns the
-// latched error — preserving the truncation semantics of the
-// synchronous writer (a trace sealed through a failed writer is
-// reported as such, never silently truncated).
+// latched error — a trace sealed through a failed writer is reported
+// as such, never silently truncated.
 type asyncSegWriter struct {
 	sw *segWriter
 
@@ -53,13 +52,9 @@ type asyncSegWriter struct {
 	sealed bool
 }
 
-// newAsyncSegWriter writes the container header synchronously (so a
-// bad writer fails construction, matching NewStreamRecorder) and starts
-// the pipeline. queue <= 0 selects DefaultAsyncQueue.
+// newAsyncSegWriter starts the pipeline over w, whose header
+// newSegWriter already wrote, with queues queue segments deep.
 func newAsyncSegWriter(w *segWriter, queue int) *asyncSegWriter {
-	if queue <= 0 {
-		queue = DefaultAsyncQueue
-	}
 	aw := &asyncSegWriter{
 		sw:     w,
 		order:  make(chan *asyncJob, queue),

@@ -15,7 +15,7 @@ import (
 // an input that actually parses.
 func fuzzSeeds(f *testing.F) [][]byte {
 	f.Helper()
-	v3 := streamTrapDense(f, Options{SnapshotInterval: 50_000_000, KeyframeEvery: 2, EventBatch: 32, Sync: true})
+	v3 := streamTrapDense(f, Options{SnapshotInterval: 50_000_000, KeyframeEvery: 2, EventBatch: 32})
 	v2, err := os.ReadFile(filepath.Join("..", "..", "testdata", "v2-golden.trc"))
 	if err != nil {
 		f.Fatalf("v2 golden fixture: %v", err)
@@ -92,7 +92,7 @@ func FuzzOpenSourceFile(f *testing.F) {
 		if err != nil {
 			return
 		}
-		defer CloseSource(src)
+		defer src.Close()
 
 		_ = src.Meta()
 		_, _, _, _ = src.End()

@@ -7,7 +7,10 @@ import (
 	"testing"
 
 	"lvmm/internal/asm"
+	"lvmm/internal/guest"
 	"lvmm/internal/machine"
+	"lvmm/internal/netsim"
+	"lvmm/internal/vmm"
 )
 
 // streamTrapDense records the trap-dense kernel to a v3 stream and
@@ -311,55 +314,76 @@ func TestLazyLiveCheckpoint(t *testing.T) {
 	}
 }
 
-// TestOpenSourceFile proves the format sniffing: a v3 file opens lazily,
-// a legacy v2 file falls back to the full loader, and both replay.
-func TestOpenSourceFile(t *testing.T) {
-	dir := t.TempDir()
+// goldenV2Path is the committed legacy v2 trace: a short lightweight
+// streaming run recorded before v2 writing was retired. It never
+// changes; every v2 test reads it.
+var goldenV2Path = filepath.Join("..", "..", "testdata", "v2-golden.trc")
 
-	// KeyframeEvery 1: the v2 format cannot carry delta checkpoints.
-	data := streamTrapDense(t, Options{SnapshotInterval: 40_000_000, KeyframeEvery: 1, EventBatch: 64})
-	v3path := filepath.Join(dir, "v3.trc")
-	if err := os.WriteFile(v3path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	tr, err := ReadTrace(bytes.NewReader(data))
+// buildGolden rebuilds the machine a streaming-target trace was recorded
+// on, from its metadata: the streaming guest under the lightweight
+// monitor with its debug stub, wired as the public target constructor
+// wires it.
+func buildGolden(t *testing.T, meta TraceMeta) (*machine.Machine, *vmm.VMM, *netsim.Receiver) {
+	t.Helper()
+	recv := netsim.NewReceiver()
+	m := machine.NewStreamingSeeded(meta.Params.BlockBytes, recv, guest.KernelBase, meta.Seed)
+	entry, err := guest.Prepare(m, meta.Params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v2buf bytes.Buffer
-	if err := tr.WriteV2(&v2buf); err != nil {
+	v := vmm.Attach(m, vmm.Config{Mode: vmm.Lightweight})
+	v.EnableDebugStub()
+	if err := v.Launch(entry); err != nil {
 		t.Fatal(err)
 	}
-	v2path := filepath.Join(dir, "v2.trc")
-	if err := os.WriteFile(v2path, v2buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	return m, v, recv
+}
 
+// TestOpenSourceFile proves the format sniffing: a v3 file opens lazily
+// from disk, the legacy v2 golden file is transcoded to v3 in memory
+// without losing an event or checkpoint, and both replay.
+func TestOpenSourceFile(t *testing.T) {
+	data := streamTrapDense(t, Options{SnapshotInterval: 40_000_000, EventBatch: 64})
+	v3path := filepath.Join(t.TempDir(), "v3.trc")
+	if err := os.WriteFile(v3path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	src3, err := OpenSourceFile(v3path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer CloseSource(src3)
-	if _, ok := src3.(*LazyTrace); !ok {
-		t.Fatalf("v3 file opened as %T, want *LazyTrace", src3)
-	}
-	src2, err := OpenSourceFile(v2path, 0)
+	defer src3.Close()
+	m, v := buildTrapDense(t, false)
+	rp, err := NewReplayerSource(src3, m, v, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer CloseSource(src2)
-	if _, ok := src2.(*LazyTrace); ok {
-		t.Fatal("v2 file opened lazily; it has no seek index")
+	if err := rp.RunToEnd(); err != nil {
+		t.Fatalf("v3 replay diverged: %v", err)
 	}
-	for _, src := range []Source{src3, src2} {
-		m, v := buildTrapDense(t, false)
-		rp, err := NewReplayerSource(src, m, v, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rp.RunToEnd(); err != nil {
-			t.Fatalf("replay through %T diverged: %v", src, err)
-		}
+
+	src2, err := OpenSourceFile(goldenV2Path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src2.Close()
+	tr2, err := ReadTraceFile(goldenV2Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src2.NumEvents() != len(tr2.Events) || src2.NumCheckpoints() != len(tr2.Checkpoints) {
+		t.Fatalf("v2 transcode holds %d events / %d checkpoints, the file %d / %d",
+			src2.NumEvents(), src2.NumCheckpoints(), len(tr2.Events), len(tr2.Checkpoints))
+	}
+	if ec, ei, _, ed := src2.End(); ec != tr2.EndCycle || ei != tr2.EndInstr || ed != tr2.EndDigest {
+		t.Fatal("v2 transcode's end seal does not match the file's")
+	}
+	m2, v2, recv2 := buildGolden(t, src2.Meta())
+	rp2, err := NewReplayerSource(src2, m2, v2, recv2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rp2.RunToEnd(); err != nil {
+		t.Fatalf("v2 replay diverged: %v", err)
 	}
 }

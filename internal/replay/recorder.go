@@ -1,7 +1,7 @@
 package replay
 
 import (
-	"fmt"
+	"bytes"
 	"io"
 
 	"lvmm/internal/hw"
@@ -30,15 +30,6 @@ type Options struct {
 	// DefaultEventBatch. It is the recorder's resident-memory unit: the
 	// streaming recorder never holds more than one batch of events.
 	EventBatch int
-	// Sync disables the pipelined async writer and serializes segments on
-	// the caller's goroutine, as the recorder always did before the
-	// pipeline existed. The container bytes are identical either way
-	// (TestAsyncRecordDifferential pins it); Sync exists for debugging and
-	// for the differential itself.
-	Sync bool
-	// AsyncQueue bounds the async writer's in-flight segment queue; 0
-	// selects DefaultAsyncQueue. Ignored when Sync is set.
-	AsyncQueue int
 	// Label annotates the trace.
 	Label string
 }
@@ -82,15 +73,16 @@ type StreamStats struct {
 // Recorder captures a deterministic trace of a running machine. Create
 // it with the machine in the state the trace should begin at (normally
 // right after target construction, before the first Run), Start it, run
-// the workload, then Finish (in-memory mode) or FinishStream (streaming
-// mode).
+// the workload, then Finish (NewRecorder) or FinishStream
+// (NewStreamRecorder).
 //
-// In streaming mode (NewStreamRecorder) every event batch and snapshot
-// is flushed to the underlying writer as recording proceeds: resident
-// memory stays O(one event batch + one snapshot) regardless of run
-// length. In-memory mode (NewRecorder) accumulates a *Trace — delta
-// snapshots still apply, so memory grows with the event timeline and
-// the dirty working set, not with full-RAM copies per checkpoint.
+// Every recording streams the v3 container through the async segment
+// pipeline: each event batch and snapshot is handed to the pipeline as
+// recording proceeds, so the recorder itself holds O(one event batch +
+// one snapshot) however long the run is. NewStreamRecorder streams to
+// the caller's writer; NewRecorder streams into a buffer it owns and
+// reads the sealed container back into a *Trace at Finish, so the trace
+// it returns is exactly what a file recording would hold.
 //
 // Recording is only deterministic when all external input is injected
 // from the machine's own goroutine (batch runs, or debug sessions over
@@ -102,12 +94,13 @@ type Recorder struct {
 	v    *vmm.VMM         // nil on bare metal
 	recv *netsim.Receiver // nil when no validating receiver is wired
 
-	tr       *Trace          // in-memory mode only
-	sw       *segWriter      // streaming mode only
-	aw       *asyncSegWriter // streaming mode, async (default): owns sw until sealed
-	pend     []Event         // streaming mode: the current event batch
+	sw       *segWriter      // owned by aw until sealed
+	aw       *asyncSegWriter // the segment pipeline; latches the stream error
+	pend     []Event         // the current event batch
 	batchLen int
-	queueLen int
+
+	buf   *bytes.Buffer // NewRecorder only: the owned stream, until Finish
+	trace *Trace        // NewRecorder only: Finish's read-back, cached
 
 	interval  uint64
 	maxSnaps  int
@@ -120,17 +113,15 @@ type Recorder struct {
 	lastIndex int  // stable Index of the previous checkpoint (delta base)
 
 	stats StreamStats
-	err   error // sticky stream error; FinishStream reports it
 }
 
-// NewRecorder prepares an in-memory recorder. v and recv may be nil.
+// NewRecorder prepares a recorder whose trace Finish returns in memory.
+// v and recv may be nil.
 func NewRecorder(m *machine.Machine, v *vmm.VMM, recv *netsim.Receiver, meta TraceMeta, opts Options) *Recorder {
-	r := newRecorder(m, v, recv, opts)
-	meta.Version = TraceVersion
-	if meta.Label == "" {
-		meta.Label = opts.Label
-	}
-	r.tr = &Trace{Meta: meta}
+	buf := new(bytes.Buffer)
+	// A bytes.Buffer never fails a write, so neither can the header.
+	r, _ := NewStreamRecorder(buf, m, v, recv, meta, opts)
+	r.buf = buf
 	return r
 }
 
@@ -141,34 +132,9 @@ func NewRecorder(m *machine.Machine, v *vmm.VMM, recv *netsim.Receiver, meta Tra
 // the caller still owns the Close (and must check its error — buffered
 // short writes surface there).
 //
-// By default serialization (gob + gzip + framing) runs on a pipelined
-// async writer so the simulation goroutine only pays for the state
-// copies; Options.Sync selects the old on-thread path. Both produce
-// bit-identical containers.
+// Serialization (gob + gzip + framing) runs on the pipelined async
+// writer, so the simulation goroutine only pays for the state copies.
 func NewStreamRecorder(w io.Writer, m *machine.Machine, v *vmm.VMM, recv *netsim.Receiver, meta TraceMeta, opts Options) (*Recorder, error) {
-	r := newRecorder(m, v, recv, opts)
-	meta.Version = TraceVersion
-	if meta.Label == "" {
-		meta.Label = opts.Label
-	}
-	sw, err := newSegWriter(w)
-	if err != nil {
-		return nil, err
-	}
-	r.sw = sw
-	if !opts.Sync {
-		r.aw = newAsyncSegWriter(sw, r.queueLen)
-		if err := r.aw.enqueue(segMeta, meta, decoNone()); err != nil {
-			return nil, err
-		}
-	} else if err := sw.writeSegment(segMeta, meta, decoNone()); err != nil {
-		return nil, err
-	}
-	r.pend = make([]Event, 0, r.batchLen)
-	return r, nil
-}
-
-func newRecorder(m *machine.Machine, v *vmm.VMM, recv *netsim.Receiver, opts Options) *Recorder {
 	if opts.SnapshotInterval == 0 {
 		opts.SnapshotInterval = DefaultSnapshotInterval
 	}
@@ -181,24 +147,28 @@ func newRecorder(m *machine.Machine, v *vmm.VMM, recv *netsim.Receiver, opts Opt
 	if opts.EventBatch == 0 {
 		opts.EventBatch = DefaultEventBatch
 	}
-	return &Recorder{
+	meta.Version = TraceVersion
+	if meta.Label == "" {
+		meta.Label = opts.Label
+	}
+	sw, err := newSegWriter(w)
+	if err != nil {
+		return nil, err
+	}
+	r := &Recorder{
 		m: m, v: v, recv: recv,
+		sw:       sw,
+		aw:       newAsyncSegWriter(sw, DefaultAsyncQueue),
+		pend:     make([]Event, 0, opts.EventBatch),
+		batchLen: opts.EventBatch,
 		interval: opts.SnapshotInterval,
 		maxSnaps: opts.MaxSnapshots,
 		keyEvery: opts.KeyframeEvery,
-		batchLen: opts.EventBatch,
-		queueLen: opts.AsyncQueue,
 	}
-}
-
-// streamErr reports the sticky stream error regardless of mode. In
-// async mode errors latch inside the pipeline (any goroutine may set
-// them), so the recorder reads through it instead of caching.
-func (r *Recorder) streamErr() error {
-	if r.aw != nil {
-		return r.aw.Err()
+	if err := r.aw.enqueue(segMeta, meta, decoNone()); err != nil {
+		return nil, err
 	}
-	return r.err
+	return r, nil
 }
 
 // Start takes the initial checkpoint, installs the capture hooks,
@@ -261,18 +231,14 @@ func (r *Recorder) input(ch uint8, data []byte) {
 	r.append(Event{Kind: EvInput, Chan: ch, Data: append([]byte(nil), data...)})
 }
 
-// append stamps and stores an event — into the in-memory trace, or into
-// the pending batch which flushes as a segment when full.
+// append stamps an event into the pending batch, which flushes as a
+// segment when full.
 func (r *Recorder) append(ev Event) {
 	ev.Cycle = r.m.Clock()
 	ev.Instr = r.m.CPU.Stat.Instructions
 	r.evCount++
 	r.stats.Events++
-	if r.sw == nil {
-		r.tr.Events = append(r.tr.Events, ev)
-		return
-	}
-	if r.streamErr() != nil {
+	if r.aw.Err() != nil {
 		// The stream is already broken (FinishStream will report it);
 		// accumulating the rest of the run's events would turn the
 		// bounded-memory recorder into an O(run) one exactly when the
@@ -292,32 +258,22 @@ func (r *Recorder) append(ev Event) {
 // broken stream the batch is dropped instead of retained — the sticky
 // error already condemns the trace, and memory must stay bounded.
 //
-// Async mode transfers ownership of the batch slice to the pipeline
-// (it is never touched again here) and starts a fresh one; sync mode
-// serializes in place and reuses the slice.
+// Ownership of the batch slice transfers to the pipeline (it is never
+// touched again here) and a fresh one starts.
 func (r *Recorder) flushEvents() {
-	if r.sw == nil || len(r.pend) == 0 {
+	if len(r.pend) == 0 {
 		return
 	}
-	if r.streamErr() != nil {
+	if r.aw.Err() != nil {
 		r.pend = r.pend[:0]
 		return
 	}
-	if r.aw != nil {
-		batch := r.pend
-		r.pend = make([]Event, 0, r.batchLen)
-		if err := r.aw.enqueue(segEvents, batch, decoEvents(batch)); err != nil {
-			return
-		}
-		r.stats.EventSegments++
-		return
-	}
-	if err := r.sw.writeSegment(segEvents, r.pend, decoEvents(r.pend)); err != nil {
-		r.err = err
+	batch := r.pend
+	r.pend = make([]Event, 0, r.batchLen)
+	if err := r.aw.enqueue(segEvents, batch, decoEvents(batch)); err != nil {
 		return
 	}
 	r.stats.EventSegments++
-	r.pend = r.pend[:0]
 }
 
 // armSnapshot schedules the next periodic snapshot. The snapshot closure
@@ -372,33 +328,16 @@ func (r *Recorder) snapshot() {
 	r.lastIndex = cp.Index
 	r.cpCount++
 
-	if r.sw == nil {
-		r.tr.Checkpoints = append(r.tr.Checkpoints, cp)
-		if cp.Delta {
-			r.stats.Deltas++
-		} else {
-			r.stats.Keyframes++
-		}
-		return
-	}
-	// Streaming: the batch flushed first keeps segments in timeline
-	// order (every pending event precedes the checkpoint).
+	// The batch flushed first keeps segments in timeline order (every
+	// pending event precedes the checkpoint).
 	r.flushEvents()
-	if r.streamErr() != nil {
-		return
-	}
 	kind := segKeyframe
 	if cp.Delta {
 		kind = segDelta
 	}
-	if r.aw != nil {
-		// Ownership of cp (and the snapshot buffers inside it — deep
-		// copies, see machine.Snapshot) transfers to the pipeline here.
-		if err := r.aw.enqueue(kind, &cp, decoCheckpoint(&cp)); err != nil {
-			return
-		}
-	} else if err := r.sw.writeSegment(kind, &cp, decoCheckpoint(&cp)); err != nil {
-		r.err = err
+	// Ownership of cp (and the snapshot buffers inside it — deep copies,
+	// see machine.Snapshot) transfers to the pipeline here.
+	if err := r.aw.enqueue(kind, &cp, decoCheckpoint(&cp)); err != nil {
 		return
 	}
 	if cp.Delta {
@@ -431,24 +370,24 @@ func (r *Recorder) stop() traceEnd {
 	}
 }
 
-// Finish stops capturing, removes the hooks, seals the trace with the
-// final machine state, and returns it. On a streaming recorder it seals
-// the stream instead and returns nil — use FinishStream there, which
-// also reports write errors.
+// Finish stops capturing, seals the recording with the final machine
+// state, and returns it as a *Trace read back from the sealed container.
+// Repeat calls return the same trace. A recorder from NewStreamRecorder
+// seals its stream and returns nil — use FinishStream there. When the
+// stream failed, Finish returns nil and Err reports why.
 func (r *Recorder) Finish() *Trace {
-	if r.sw != nil {
-		r.FinishStream()
+	if _, err := r.FinishStream(); err != nil {
 		return nil
 	}
-	if !r.active {
-		return r.tr
+	if r.trace == nil && r.buf != nil {
+		tr, err := ReadTrace(bytes.NewReader(r.buf.Bytes()))
+		if err != nil {
+			r.aw.setErr(err)
+			return nil
+		}
+		r.trace, r.buf = tr, nil
 	}
-	end := r.stop()
-	r.tr.EndCycle = end.EndCycle
-	r.tr.EndInstr = end.EndInstr
-	r.tr.EndReason = end.EndReason
-	r.tr.EndDigest = end.EndDigest
-	return r.tr
+	return r.trace
 }
 
 // FinishStream stops capturing and seals the streamed container: the
@@ -457,63 +396,34 @@ func (r *Recorder) Finish() *Trace {
 // segment flushes included — is returned; a nil error plus a successful
 // Close of the underlying file means the trace is complete on disk.
 func (r *Recorder) FinishStream() (StreamStats, error) {
-	if r.sw == nil {
-		return StreamStats{}, fmt.Errorf("replay: FinishStream on an in-memory recorder (use Finish)")
-	}
-	if !r.active {
-		return r.stats, r.streamErr()
-	}
-	end := r.stop()
-	r.flushEvents()
-	if r.aw != nil {
+	if r.active {
+		end := r.stop()
+		r.flushEvents()
 		if r.aw.Err() == nil {
 			r.aw.enqueue(segEnd, end, decoNone())
 		}
-		// seal joins the pipeline: every enqueued segment is committed (or
-		// the first error latched) before it returns, then the index and
-		// trailer go out. After this the segWriter is ours again.
-		if err := r.aw.seal(); err != nil {
-			r.err = err
-		}
-	} else {
-		if r.err == nil {
-			if err := r.sw.writeSegment(segEnd, end, decoNone()); err != nil {
-				r.err = err
-			}
-		}
-		if r.err == nil {
-			if err := r.sw.finish(); err != nil {
-				r.err = err
-			}
-		}
+		r.stats.EndCycle = end.EndCycle
+		r.stats.EndInstr = end.EndInstr
+		r.stats.EndDigest = end.EndDigest
 	}
+	// seal joins the pipeline: every enqueued segment is committed (or the
+	// first error latched) before it returns, then the index and trailer
+	// go out. It is idempotent, and after it the segWriter is ours again.
+	err := r.aw.seal()
 	// Data segments only — the seek-index footer and trailer are framing,
 	// and the index cannot list itself (matches len(Trace.Segments) after
 	// a read-back).
 	r.stats.Segments = len(r.sw.index)
 	r.stats.BytesWritten = r.sw.off
-	r.stats.EndCycle = end.EndCycle
-	r.stats.EndInstr = end.EndInstr
-	r.stats.EndDigest = end.EndDigest
-	return r.stats, r.err
+	return r.stats, err
 }
 
 // PendingEvents reports how many captured events are resident in the
-// recorder right now (streaming mode: the unflushed batch; in-memory
-// mode: the whole timeline). Tests use it to pin the bounded-memory
-// property.
-func (r *Recorder) PendingEvents() int {
-	if r.sw == nil {
-		return len(r.tr.Events)
-	}
-	return len(r.pend)
-}
+// recorder right now (the unflushed batch). Tests use it to pin the
+// bounded-memory property.
+func (r *Recorder) PendingEvents() int { return len(r.pend) }
 
-// Err returns the sticky stream-write error, if any. In async mode the
-// error may have latched on a pipeline goroutine; this is safe to poll
-// from the machine's goroutine while recording.
-func (r *Recorder) Err() error { return r.streamErr() }
-
-// Trace returns the trace being built in memory (also available before
-// Finish, for inspection); nil on a streaming recorder.
-func (r *Recorder) Trace() *Trace { return r.tr }
+// Err returns the sticky stream error, if any. It may have latched on a
+// pipeline goroutine; this is safe to poll from the machine's goroutine
+// while recording.
+func (r *Recorder) Err() error { return r.aw.Err() }

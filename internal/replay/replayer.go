@@ -17,14 +17,13 @@ import (
 // seek to any instruction-count position, and implements the time-travel
 // operations the debug stub exposes (gdbstub.Reverser).
 //
-// The trace is accessed through the Source interface: a fully resident
-// *Trace, or a *LazyTrace that decodes event batches and snapshots on
-// demand through a byte-budgeted LRU — forward runs, checkpoint
-// restores, reverse-step, and reverse-continue all touch only the
-// segments they need, so a replay session's memory is O(LRU budget) on
-// a lazy source regardless of trace length.
+// The trace is read through a *LazyTrace, which decodes event batches
+// and snapshots on demand through a byte-budgeted LRU — forward runs,
+// checkpoint restores, reverse-step, and reverse-continue all touch
+// only the segments they need, so a replay session's memory is O(LRU
+// budget) regardless of trace length.
 type Replayer struct {
-	src  Source
+	src  *LazyTrace
 	m    *machine.Machine
 	v    *vmm.VMM
 	recv *netsim.Receiver
@@ -53,19 +52,21 @@ type Replayer struct {
 // NewReplayer attaches a replayer to a machine built with the same
 // configuration the trace was recorded on, and rewinds it to the trace's
 // initial checkpoint. v and recv may be nil if the recording had none.
+// The trace replays through Trace.Lazy: it is re-encoded once and read
+// back through the same seek-index reader a trace file uses.
 func NewReplayer(tr *Trace, m *machine.Machine, v *vmm.VMM, recv *netsim.Receiver) (*Replayer, error) {
-	if err := tr.validateChains(); err != nil {
+	lt, err := tr.Lazy()
+	if err != nil {
 		return nil, err
 	}
-	return NewReplayerSource(tr.AsSource(), m, v, recv)
+	return NewReplayerSource(lt, m, v, recv)
 }
 
-// NewReplayerSource attaches a replayer to any trace source (resident
-// or lazy). Delta-checkpoint base chains are validated as they are
-// materialized — a lazy source cannot walk every chain up front without
-// decoding every snapshot segment, which is exactly what it exists to
-// avoid.
-func NewReplayerSource(src Source, m *machine.Machine, v *vmm.VMM, recv *netsim.Receiver) (*Replayer, error) {
+// NewReplayerSource attaches a replayer to a lazily opened trace.
+// Delta-checkpoint base chains are validated as they are materialized —
+// walking every chain up front would decode every snapshot segment,
+// which is exactly what the lazy reader exists to avoid.
+func NewReplayerSource(src *LazyTrace, m *machine.Machine, v *vmm.VMM, recv *netsim.Receiver) (*Replayer, error) {
 	if src.NumCheckpoints() == 0 {
 		return nil, fmt.Errorf("replay: trace has no checkpoints")
 	}
@@ -90,8 +91,8 @@ func NewReplayerSource(src Source, m *machine.Machine, v *vmm.VMM, recv *netsim.
 	return r, nil
 }
 
-// Source returns the trace source being replayed.
-func (r *Replayer) Source() Source { return r.src }
+// Source returns the trace being replayed.
+func (r *Replayer) Source() *LazyTrace { return r.src }
 
 // Err returns the first divergence (or trace read failure) detected, if
 // any.
@@ -202,10 +203,10 @@ func (r *Replayer) advanceCursor() int {
 // then the target delta's pages and complete non-RAM state. The chain
 // length is bounded by the recording's KeyframeEvery, so a reverse seek
 // costs at most one full restore plus KeyframeEvery-1 page-set copies.
-// On a lazy source each chain member decodes on demand (and re-faults
-// from disk if the LRU evicted it); the chain is validated here rather
-// than at open, since walking every chain up front would decode every
-// snapshot segment.
+// Each chain member decodes on demand (and re-faults from disk if the
+// LRU evicted it); the chain is validated here rather than at open,
+// since walking every chain up front would decode every snapshot
+// segment.
 func (r *Replayer) restoreCheckpoint(i int) error {
 	cp, err := r.src.Checkpoint(i)
 	if err != nil {

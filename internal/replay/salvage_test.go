@@ -69,7 +69,7 @@ func replaySalvaged(t *testing.T, data []byte, slow bool) (uint64, uint64) {
 // reproduces it byte for byte — segment bodies are carried raw and the
 // re-encoded meta, seal, and index are pure functions of their content.
 func TestSalvageCompleteFileIsFaithful(t *testing.T) {
-	data := streamTrapDense(t, Options{SnapshotInterval: 40_000_000, KeyframeEvery: 2, EventBatch: 64, Sync: true})
+	data := streamTrapDense(t, Options{SnapshotInterval: 40_000_000, KeyframeEvery: 2, EventBatch: 64})
 	stats, out, err := salvageBytes(t, data)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestSalvageCompleteFileIsFaithful(t *testing.T) {
 // either salvage into a container that loads and replays cleanly, or
 // fail with a clean error — never panic, never yield a bad trace.
 func TestSalvageEveryBoundary(t *testing.T) {
-	data := streamTrapDense(t, Options{SnapshotInterval: 40_000_000, KeyframeEvery: 2, EventBatch: 64, Sync: true})
+	data := streamTrapDense(t, Options{SnapshotInterval: 40_000_000, KeyframeEvery: 2, EventBatch: 64})
 	bounds := segmentBoundaries(t, data)
 	if len(bounds) < 5 {
 		t.Fatalf("trace has only %d segments; the sweep needs more structure", len(bounds))
@@ -140,7 +140,7 @@ func TestSalvageEveryBoundary(t *testing.T) {
 // TestSalvagedReplayBothEngines: a salvaged prefix replays identically
 // on the fused and per-instruction engines.
 func TestSalvagedReplayBothEngines(t *testing.T) {
-	data := streamTrapDense(t, Options{SnapshotInterval: 40_000_000, KeyframeEvery: 2, EventBatch: 64, Sync: true})
+	data := streamTrapDense(t, Options{SnapshotInterval: 40_000_000, KeyframeEvery: 2, EventBatch: 64})
 	bounds := segmentBoundaries(t, data)
 	// Walk back from the end to the latest boundary whose prefix lost
 	// the end seal but still salvages — the longest genuinely truncated
@@ -167,7 +167,7 @@ func TestSalvagedReplayBothEngines(t *testing.T) {
 // TestSalvageRejectsHopelessPrefixes: damage before the first keyframe
 // leaves nothing to restore from; salvage must say so.
 func TestSalvageRejectsHopelessPrefixes(t *testing.T) {
-	data := streamTrapDense(t, Options{SnapshotInterval: 40_000_000, Sync: true})
+	data := streamTrapDense(t, Options{SnapshotInterval: 40_000_000})
 	bounds := segmentBoundaries(t, data)
 	// bounds[0] is the meta segment header; cutting there leaves magic only.
 	for _, off := range []int64{int64(len(traceMagic) + 2), bounds[0] + 3} {
@@ -184,7 +184,7 @@ func TestSalvageRejectsHopelessPrefixes(t *testing.T) {
 // the salvaged output carries the Salvaged marker that relaxes replay's
 // end checks and drives the farm's partial flag.
 func TestSalvageFileAndMetaMarker(t *testing.T) {
-	data := streamTrapDense(t, Options{SnapshotInterval: 40_000_000, KeyframeEvery: 2, Sync: true})
+	data := streamTrapDense(t, Options{SnapshotInterval: 40_000_000, KeyframeEvery: 2})
 	bounds := segmentBoundaries(t, data)
 	dir := t.TempDir()
 	src := filepath.Join(dir, "torn.trc")
@@ -249,7 +249,7 @@ func TestSalvageFileAndMetaMarker(t *testing.T) {
 // never panic, and when it claims success the output must be a loadable
 // container that itself salvages to identical bytes (a fixed point).
 func FuzzSalvage(f *testing.F) {
-	valid := streamTrapDense(f, Options{SnapshotInterval: 50_000_000, KeyframeEvery: 2, EventBatch: 32, Sync: true})
+	valid := streamTrapDense(f, Options{SnapshotInterval: 50_000_000, KeyframeEvery: 2, EventBatch: 32})
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:len(valid)/4*3])
@@ -295,7 +295,7 @@ func FuzzSalvage(f *testing.F) {
 // TestEnrichedTruncationProbe: the probe names the damage offset and
 // last intact segment so hxreplay can point users at salvage.
 func TestEnrichedTruncationProbe(t *testing.T) {
-	data := streamTrapDense(t, Options{SnapshotInterval: 40_000_000, Sync: true})
+	data := streamTrapDense(t, Options{SnapshotInterval: 40_000_000})
 	bounds := segmentBoundaries(t, data)
 	cut := bounds[len(bounds)-2] // drop the index and trailer
 	path := filepath.Join(t.TempDir(), "cut.trc")

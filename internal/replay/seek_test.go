@@ -3,6 +3,7 @@ package replay
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -52,22 +53,21 @@ func recordStreamLW(t *testing.T, inputAt []uint64) *Trace {
 	return rec.Finish()
 }
 
-// bothSources returns the trace as a resident source and as a lazy one
-// opened over its Trace.Write bytes.
-func bothSources(t *testing.T, tr *Trace) []Source {
+// bothSources opens the trace's Trace.Write bytes twice: with the
+// unbounded cache NewReplayer's Trace.Lazy uses, and with the default
+// budget a trace file opens with.
+func bothSources(t *testing.T, tr *Trace) []*LazyTrace {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	lt := lazyOpen(t, buf.Bytes(), 0)
-	t.Cleanup(func() { lt.Close() })
-	return []Source{tr.AsSource(), lt}
+	return []*LazyTrace{lazyOpen(t, buf.Bytes(), math.MaxInt64), lazyOpen(t, buf.Bytes(), 0)}
 }
 
 // newStreamReplayer attaches a replayer for a recordStreamLW trace to a
 // freshly built machine.
-func newStreamReplayer(t *testing.T, src Source) (*Replayer, *machine.Machine, *vmm.VMM) {
+func newStreamReplayer(t *testing.T, src *LazyTrace) (*Replayer, *machine.Machine, *vmm.VMM) {
 	t.Helper()
 	m, v, recv := buildStreamLW(t)
 	rp, err := NewReplayerSource(src, m, v, recv)
@@ -80,10 +80,12 @@ func newStreamReplayer(t *testing.T, src Source) (*Replayer, *machine.Machine, *
 // TestFrameDigestDivergence pins frame verification: seeks skip the
 // frame hash, so a tampered EvFrame digest must still be caught by
 // RunToEnd at exactly that event, while seeks across it land on the
-// same state as on the clean trace — on resident and lazy sources.
+// same state as on the clean trace — opened as NewReplayer opens a
+// resident trace and as a trace file opens.
 func TestFrameDigestDivergence(t *testing.T) {
 	clean := recordStreamLW(t, nil)
-	cleanSrc := clean.AsSource()
+	cleanSrcs := bothSources(t, clean)
+	cleanSrc := cleanSrcs[0]
 
 	// A frame past the first whose seek landing 1000 instructions later
 	// still restores from a checkpoint before it, so the seeks below
@@ -114,7 +116,7 @@ func TestFrameDigestDivergence(t *testing.T) {
 	tampered.Events[k].Digest ^= 1
 	tampered.Checkpoints = append([]Checkpoint(nil), clean.Checkpoints...)
 
-	cleanSrcs, tamperedSrcs := bothSources(t, clean), bothSources(t, &tampered)
+	tamperedSrcs := bothSources(t, &tampered)
 	for j, name := range []string{"resident", "lazy"} {
 		rp, _, _ := newStreamReplayer(t, cleanSrcs[j])
 		if err := rp.RunToEnd(); err != nil {

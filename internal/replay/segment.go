@@ -187,8 +187,8 @@ func (sw *segWriter) writeSegment(kind byte, payload any, d segDeco) error {
 
 // writeEncoded appends one segment whose payload is already encoded
 // (the async pipeline encodes on worker goroutines and hands finished
-// bodies here, in enqueue order, so the byte stream is identical to the
-// synchronous writer's). The index entry is built from the write offset
+// bodies here, in enqueue order, so the byte stream is identical to
+// writeSegment's). The index entry is built from the write offset
 // plus the producer's decorations.
 func (sw *segWriter) writeEncoded(kind byte, body []byte, d segDeco) error {
 	if sw.err != nil {
@@ -322,108 +322,4 @@ func readBody(r io.Reader, n uint64) ([]byte, error) {
 		remaining -= step
 	}
 	return body, nil
-}
-
-// readSegments scans a v3 stream after the version bytes, decoding each
-// segment into the trace under construction. It returns once the index
-// segment (always last) and trailer are consumed.
-func readSegments(r io.Reader, t *Trace) error {
-	var (
-		off      = int64(len(traceMagic) + 2)
-		sawMeta  bool
-		sawEnd   bool
-		sawIndex bool
-		segsSeen []SegmentInfo
-		hdr      [9]byte
-	)
-	for !sawIndex {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return fmt.Errorf("replay: truncated trace (segment header at offset %d): %w", off, err)
-		}
-		kind := hdr[0]
-		n := binary.LittleEndian.Uint64(hdr[1:])
-		if n > maxSegmentPayload {
-			return fmt.Errorf("replay: segment %s at offset %d claims %d payload bytes", segKindName(kind), off, n)
-		}
-		body, err := readBody(r, n)
-		if err != nil {
-			return fmt.Errorf("replay: truncated %s segment at offset %d: %w", segKindName(kind), off, err)
-		}
-		info := SegmentInfo{Kind: kind, Offset: off, Bytes: int64(9 + len(body)), Checkpoint: -1}
-		switch kind {
-		case segMeta:
-			if sawMeta {
-				return fmt.Errorf("replay: duplicate meta segment")
-			}
-			if err := decodeSegment(body, &t.Meta); err != nil {
-				return fmt.Errorf("replay: decoding trace meta: %w", err)
-			}
-			sawMeta = true
-		case segEvents:
-			var batch []Event
-			if err := decodeSegment(body, &batch); err != nil {
-				return fmt.Errorf("replay: decoding event batch at offset %d: %w", off, err)
-			}
-			info.Events = len(batch)
-			if len(batch) > 0 {
-				info.Instr, info.Cycle = batch[0].Instr, batch[0].Cycle
-			}
-			t.Events = append(t.Events, batch...)
-		case segKeyframe, segDelta:
-			var cp Checkpoint
-			if err := decodeSegment(body, &cp); err != nil {
-				return fmt.Errorf("replay: decoding %s at offset %d: %w", segKindName(kind), off, err)
-			}
-			if (kind == segDelta) != cp.Delta {
-				return fmt.Errorf("replay: %s segment at offset %d carries a checkpoint with delta=%v",
-					segKindName(kind), off, cp.Delta)
-			}
-			info.Instr, info.Cycle, info.Checkpoint = cp.Instr, cp.Cycle, cp.Index
-			t.Checkpoints = append(t.Checkpoints, cp)
-		case segEnd:
-			if sawEnd {
-				return fmt.Errorf("replay: duplicate end segment")
-			}
-			var end traceEnd
-			if err := decodeSegment(body, &end); err != nil {
-				return fmt.Errorf("replay: decoding end segment: %w", err)
-			}
-			t.EndCycle, t.EndInstr = end.EndCycle, end.EndInstr
-			t.EndReason, t.EndDigest = end.EndReason, end.EndDigest
-			sawEnd = true
-		case segIndex:
-			var idx []SegmentInfo
-			if err := decodeSegment(body, &idx); err != nil {
-				return fmt.Errorf("replay: decoding segment index: %w", err)
-			}
-			if len(idx) != len(segsSeen) {
-				return fmt.Errorf("replay: segment index lists %d segments, stream has %d", len(idx), len(segsSeen))
-			}
-			t.Segments = idx
-			sawIndex = true
-		default:
-			return fmt.Errorf("replay: unknown segment kind %d at offset %d", kind, off)
-		}
-		if kind != segIndex {
-			segsSeen = append(segsSeen, info)
-		}
-		off += int64(9 + len(body))
-	}
-	// Trailer: magic + index offset. A missing trailer means the file was
-	// cut between the index and the final bytes — reject rather than
-	// guessing.
-	var tr [16]byte
-	if _, err := io.ReadFull(r, tr[:]); err != nil {
-		return fmt.Errorf("replay: truncated trace trailer: %w", err)
-	}
-	if string(tr[:8]) != indexMagic {
-		return fmt.Errorf("replay: bad trace trailer")
-	}
-	if !sawMeta {
-		return fmt.Errorf("replay: trace has no meta segment")
-	}
-	if !sawEnd {
-		return fmt.Errorf("replay: trace has no end segment (recording was not sealed)")
-	}
-	return nil
 }

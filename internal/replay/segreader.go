@@ -24,8 +24,8 @@ type SegmentReader struct {
 }
 
 // NewSegmentReader opens a v3 trace of the given size through its seek
-// index. v2 monolithic traces have no index and are rejected; load them
-// with ReadTrace instead.
+// index. v2 monolithic traces have no index and are rejected; open them
+// with OpenSourceFile or ReadTrace instead.
 func NewSegmentReader(r io.ReaderAt, size int64) (*SegmentReader, error) {
 	hdr := make([]byte, len(traceMagic)+2)
 	if _, err := r.ReadAt(hdr, 0); err != nil {
@@ -180,10 +180,11 @@ const DefaultLRUBudget = 64 << 20
 // LazyTrace is a v3 trace opened through its seek index: segment
 // metadata and checkpoint stubs stay resident, while event batches and
 // snapshot payloads are decoded on demand and cached in an LRU with a
-// configurable byte budget. It implements Source, so a Replayer driven
-// by it holds O(LRU budget) of trace data however long the recording
-// is — the replay-side counterpart of the streaming recorder's
-// O(segment) bound.
+// configurable byte budget. It is the one form every Replayer runs on,
+// so a replay session holds O(LRU budget) of trace data however long
+// the recording is — the replay-side counterpart of the streaming
+// recorder's O(segment) bound. Event and checkpoint access can fail
+// (disk I/O, a corrupt segment).
 type LazyTrace struct {
 	sr     *SegmentReader
 	closer io.Closer // the underlying file for OpenLazyTraceFile
@@ -205,6 +206,17 @@ type LazyTrace struct {
 	cps []lazyCheckpoint
 
 	cache *segLRU
+}
+
+// CheckpointMeta is the always-resident description of one checkpoint:
+// everything the Replayer needs for seeking decisions without
+// materializing the snapshot itself.
+type CheckpointMeta struct {
+	Index      int    // stable checkpoint id
+	Instr      uint64 // timeline position
+	Cycle      uint64
+	EventIndex int  // events recorded before the snapshot
+	Delta      bool // delta snapshot (restore walks the base chain)
 }
 
 // lazyCheckpoint is one checkpoint stub: recorded ones point at their
@@ -287,6 +299,35 @@ func OpenLazyTraceFile(path string, budget int64) (*LazyTrace, error) {
 	return lt, nil
 }
 
+// OpenSourceFile opens a trace file for replay. A v3 container opens
+// lazily through its seek index, with resident memory bounded by the
+// LRU budget (<= 0 selects DefaultLRUBudget). A legacy v2 trace has no
+// index: it is read whole and transcoded to v3 in memory, so it
+// replays on the same reader. Close releases the file.
+func OpenSourceFile(path string, budget int64) (*LazyTrace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	hdr := make([]byte, len(traceMagic)+2)
+	if _, err := io.ReadFull(f, hdr); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("replay: reading trace header: %w", err)
+	}
+	f.Close()
+	if string(hdr[:len(traceMagic)]) != traceMagic {
+		return nil, fmt.Errorf("replay: %s is not a trace file", path)
+	}
+	if ver := int(hdr[len(traceMagic)]) | int(hdr[len(traceMagic)+1])<<8; ver == traceVersionV2 {
+		tr, err := ReadTraceFile(path)
+		if err != nil {
+			return nil, err
+		}
+		return tr.lazy(budget)
+	}
+	return OpenLazyTraceFile(path, budget)
+}
+
 // Close releases the underlying file (when opened through
 // OpenLazyTraceFile) and drops the cache.
 func (lt *LazyTrace) Close() error {
@@ -312,16 +353,16 @@ func (lt *LazyTrace) MaxResidentBytes() int64 { return lt.cache.maxResident }
 // misses plus re-faults after eviction).
 func (lt *LazyTrace) Faults() int64 { return lt.cache.faults }
 
-// Meta implements Source.
+// Meta describes how to rebuild the recorded target.
 func (lt *LazyTrace) Meta() TraceMeta { return lt.sr.meta }
 
-// StartInstr implements Source.
+// StartInstr is the instruction count at the trace beginning.
 func (lt *LazyTrace) StartInstr() uint64 { return lt.cps[0].meta.Instr }
 
-// End implements Source.
+// End returns the end-of-recording seal.
 func (lt *LazyTrace) End() (uint64, uint64, int, uint64) { return lt.sr.End() }
 
-// NumEvents implements Source.
+// NumEvents is the total recorded event count.
 func (lt *LazyTrace) NumEvents() int { return lt.total }
 
 // eventSeg returns the position k (into evSegs) of the batch holding
@@ -354,7 +395,7 @@ func (lt *LazyTrace) events(k int) ([]Event, error) {
 	return batch, nil
 }
 
-// Event implements Source.
+// Event returns timeline entry i, 0 <= i < NumEvents().
 func (lt *LazyTrace) Event(i int) (Event, error) {
 	if i < 0 || i >= lt.total {
 		return Event{}, fmt.Errorf("replay: event %d out of range (%d)", i, lt.total)
@@ -367,17 +408,16 @@ func (lt *LazyTrace) Event(i int) (Event, error) {
 	return batch[i-lt.evBase[k]], nil
 }
 
-// NextInput implements Source. Batches whose input positions are
+// NextInput returns the index of the first EvInput event at or after
+// from, or -1 when none remains. Batches whose input positions are
 // already memoized are skipped without touching the disk; unknown
 // batches decode once (through the cache) to learn them.
 func (lt *LazyTrace) NextInput(from int) (int, error) {
 	if from < 0 {
 		from = 0
 	}
-	for k := lt.eventSeg(from); k < len(lt.evSegs); k++ {
-		if k < 0 {
-			k = 0
-		}
+	// eventSeg is -1 for a trace without event batches.
+	for k := max(lt.eventSeg(from), 0); k < len(lt.evSegs); k++ {
 		if lt.inputOffs[k] == nil {
 			if _, err := lt.events(k); err != nil {
 				return -1, err
@@ -393,14 +433,16 @@ func (lt *LazyTrace) NextInput(from int) (int, error) {
 	return -1, nil
 }
 
-// NumCheckpoints implements Source.
+// NumCheckpoints is the checkpoint count (recorded + live).
 func (lt *LazyTrace) NumCheckpoints() int { return len(lt.cps) }
 
-// CheckpointMeta implements Source.
+// CheckpointMeta is the resident view of checkpoint position i (sorted
+// by Instr).
 func (lt *LazyTrace) CheckpointMeta(i int) CheckpointMeta { return lt.cps[i].meta }
 
-// Checkpoint implements Source: live checkpoints come straight from the
-// overlay, recorded ones decode through the cache.
+// Checkpoint materializes the checkpoint at position i: live
+// checkpoints come straight from the overlay, recorded ones decode
+// through the cache.
 func (lt *LazyTrace) Checkpoint(i int) (*Checkpoint, error) {
 	if i < 0 || i >= len(lt.cps) {
 		return nil, fmt.Errorf("replay: checkpoint position %d out of range (%d)", i, len(lt.cps))
@@ -420,7 +462,7 @@ func (lt *LazyTrace) Checkpoint(i int) (*Checkpoint, error) {
 	return cp, nil
 }
 
-// ByIndex implements Source.
+// ByIndex maps a stable checkpoint id to its position, -1 when absent.
 func (lt *LazyTrace) ByIndex(id int) int {
 	for i := range lt.cps {
 		if lt.cps[i].meta.Index == id {
@@ -430,7 +472,7 @@ func (lt *LazyTrace) ByIndex(id int) int {
 	return -1
 }
 
-// FreshIndex implements Source.
+// FreshIndex returns an unused stable checkpoint id.
 func (lt *LazyTrace) FreshIndex() int {
 	max := -1
 	for i := range lt.cps {
@@ -441,9 +483,10 @@ func (lt *LazyTrace) FreshIndex() int {
 	return max + 1
 }
 
-// InsertCheckpoint implements Source: live checkpoints live outside the
-// cache (they have no segment to re-fault from) in the stub list,
-// sorted by position.
+// InsertCheckpoint adds a live (session-created, full) checkpoint whose
+// Index came from FreshIndex. Live checkpoints live outside the cache
+// (they have no segment to re-fault from) in the stub list, sorted by
+// position.
 func (lt *LazyTrace) InsertCheckpoint(cp Checkpoint) {
 	stored := cp
 	i := sort.Search(len(lt.cps), func(i int) bool {
@@ -459,6 +502,19 @@ func (lt *LazyTrace) InsertCheckpoint(cp Checkpoint) {
 			EventIndex: cp.EventIndex, Delta: cp.Delta,
 		},
 	}
+}
+
+// nearestCheckpointIdx returns the position of the latest checkpoint
+// whose instruction count is at most pos (binary search over the
+// resident metadata; position 0 always exists for a valid trace).
+func nearestCheckpointIdx(lt *LazyTrace, pos uint64) int {
+	i := sort.Search(len(lt.cps), func(i int) bool {
+		return lt.cps[i].meta.Instr > pos
+	})
+	if i > 0 {
+		return i - 1
+	}
+	return 0
 }
 
 // eventsSize estimates the resident bytes of a decoded event batch.

@@ -3,7 +3,6 @@ package replay
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"strings"
 	"testing"
 
@@ -178,9 +177,6 @@ func TestStreamBoundedMemory(t *testing.T) {
 		}
 		rec.Start()
 		m.Run(cycles)
-		if rec.Trace() != nil {
-			t.Fatal("streaming recorder accumulated an in-memory trace")
-		}
 		pendAtFinish := rec.PendingEvents()
 		stats, err := rec.FinishStream()
 		if err != nil {
@@ -382,59 +378,38 @@ func TestTruncatedStreamRejected(t *testing.T) {
 	}
 }
 
-// TestV2RoundTripThroughCompatLoader writes the legacy monolithic format
-// and reads it back through the compatibility path.
+// TestV2RoundTripThroughCompatLoader reads the committed v2 golden trace
+// through the compatibility loader, round-trips it through the v3
+// writer (the transcode every v2 replay runs on), and replays it.
 func TestV2RoundTripThroughCompatLoader(t *testing.T) {
-	m, v := buildTrapDense(t, false)
-	rec := NewRecorder(m, v, nil, TraceMeta{Custom: true},
-		Options{SnapshotInterval: 40_000_000, KeyframeEvery: 1})
-	rec.Start()
-	if reason := m.Run(400_000_000); reason != machine.StopGuestDone {
-		t.Fatalf("record: stop %v", reason)
-	}
-	tr := rec.Finish()
-
-	var buf bytes.Buffer
-	if err := tr.WriteV2(&buf); err != nil {
-		t.Fatal(err)
-	}
-	tr2, err := ReadTrace(bytes.NewReader(buf.Bytes()))
+	tr, err := ReadTraceFile(goldenV2Path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr2.Meta.Version != 2 {
-		t.Fatalf("compat loader reports version %d, want 2", tr2.Meta.Version)
+	if tr.Meta.Version != 2 {
+		t.Fatalf("compat loader reports version %d, want 2", tr.Meta.Version)
 	}
-	if tr2.EndDigest != tr.EndDigest || len(tr2.Events) != len(tr.Events) ||
-		len(tr2.Checkpoints) != len(tr.Checkpoints) {
-		t.Fatal("v2 round trip lost data")
+	if len(tr.Segments) != 0 {
+		t.Fatalf("v2 blob loaded with a %d-entry segment index", len(tr.Segments))
 	}
-	m2, v2 := buildTrapDense(t, false)
-	rp, err := NewReplayer(tr2, m2, v2, nil)
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	tr3, err := ReadTrace(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr3.Meta.Version != TraceVersion || tr3.EndDigest != tr.EndDigest ||
+		len(tr3.Events) != len(tr.Events) || len(tr3.Checkpoints) != len(tr.Checkpoints) {
+		t.Fatal("v2 to v3 round trip lost data")
+	}
+	m, v, recv := buildGolden(t, tr.Meta)
+	rp, err := NewReplayer(tr, m, v, recv)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := rp.RunToEnd(); err != nil {
 		t.Fatalf("v2 trace replay diverged: %v", err)
-	}
-
-	// Delta checkpoints cannot be represented in v2.
-	m3, v3 := buildTrapDense(t, false)
-	rec3 := NewRecorder(m3, v3, nil, TraceMeta{Custom: true},
-		Options{SnapshotInterval: 40_000_000, KeyframeEvery: 4})
-	rec3.Start()
-	if reason := m3.Run(400_000_000); reason != machine.StopGuestDone {
-		t.Fatalf("record: stop %v", reason)
-	}
-	trDelta := rec3.Finish()
-	hasDelta := false
-	for _, cp := range trDelta.Checkpoints {
-		hasDelta = hasDelta || cp.Delta
-	}
-	if !hasDelta {
-		t.Fatal("no delta checkpoint recorded")
-	}
-	if err := trDelta.WriteV2(io.Discard); err == nil {
-		t.Fatal("WriteV2 accepted a trace with delta checkpoints")
 	}
 }

@@ -37,13 +37,14 @@
 package replay
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"sort"
 
 	"lvmm/internal/fault"
 	"lvmm/internal/guest"
@@ -165,11 +166,10 @@ type TraceMeta struct {
 	Salvaged bool
 }
 
-// Trace is a complete recorded run held in memory. The streaming
-// recorder never materializes one — it writes segments straight to its
-// io.Writer — but the replay side loads traces into this form, and
-// small-scale recordings (tests, interactive sessions) may still build
-// one directly with NewRecorder.
+// Trace is a complete recorded run held in memory: what ReadTrace loads
+// and what NewRecorder's Finish returns (its own stream, read back).
+// Replaying one goes through the same lazy reader a trace file does —
+// see Lazy.
 type Trace struct {
 	Meta        TraceMeta
 	Events      []Event
@@ -181,9 +181,9 @@ type Trace struct {
 	EndReason int // machine.StopReason at Finish time
 	EndDigest uint64
 
-	// Segments is the seek index of the file the trace was loaded from
-	// (offsets, kinds, on-disk sizes). Empty for traces built in memory
-	// and for v2 files; Write regenerates it.
+	// Segments is the seek index of the container the trace was loaded
+	// from (offsets, kinds, on-disk sizes). Empty for v2 files and for
+	// traces built by hand.
 	Segments []SegmentInfo
 }
 
@@ -193,20 +193,6 @@ func (t *Trace) StartInstr() uint64 {
 		return 0
 	}
 	return t.Checkpoints[0].Instr
-}
-
-// nearestCheckpoint returns the slice position of the latest checkpoint
-// whose instruction count is at most pos. Checkpoints are sorted by
-// Instr and position 0 always exists for a well-formed trace; the lookup
-// is a binary search over the checkpoint index, not a scan.
-func (t *Trace) nearestCheckpoint(pos uint64) int {
-	i := sort.Search(len(t.Checkpoints), func(i int) bool {
-		return t.Checkpoints[i].Instr > pos
-	})
-	if i > 0 {
-		return i - 1
-	}
-	return 0
 }
 
 // byIndex returns the slice position of the checkpoint with the given
@@ -242,17 +228,6 @@ func (t *Trace) validateChains() error {
 		}
 	}
 	return nil
-}
-
-// nextIndex returns a fresh stable checkpoint id.
-func (t *Trace) nextIndex() int {
-	max := -1
-	for i := range t.Checkpoints {
-		if t.Checkpoints[i].Index > max {
-			max = t.Checkpoints[i].Index
-		}
-	}
-	return max + 1
 }
 
 // Write serializes the trace in the current (v3) segmented format:
@@ -314,58 +289,69 @@ func (t *Trace) Write(w io.Writer) error {
 	return sw.finish()
 }
 
-// WriteV2 serializes the trace in the legacy v2 monolithic format (one
-// gzip+gob blob). It exists for compatibility testing and for tooling
-// that must interoperate with pre-v3 readers; delta checkpoints cannot
-// be represented and are rejected.
-func (t *Trace) WriteV2(w io.Writer) error {
-	for i := range t.Checkpoints {
-		if t.Checkpoints[i].Delta {
-			return fmt.Errorf("replay: v2 format cannot hold delta checkpoints (record with KeyframeEvery 1)")
-		}
-	}
-	if _, err := io.WriteString(w, traceMagic); err != nil {
-		return err
-	}
-	if _, err := w.Write([]byte{traceVersionV2, 0}); err != nil {
-		return err
-	}
-	zw, err := gzip.NewWriterLevel(w, gzip.BestSpeed)
-	if err != nil {
-		return err
-	}
-	v2 := *t
-	v2.Meta.Version = traceVersionV2
-	v2.Segments = nil
-	if err := gob.NewEncoder(zw).Encode(&v2); err != nil {
-		zw.Close()
-		return err
-	}
-	return zw.Close()
-}
-
 // ReadTrace deserializes a trace written by Write (v3) or by the legacy
 // v2 writer.
 func ReadTrace(r io.Reader) (*Trace, error) {
-	magic := make([]byte, len(traceMagic)+2)
-	if _, err := io.ReadFull(r, magic); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("replay: reading trace: %w", err)
+	}
+	return readTraceAt(bytes.NewReader(data), int64(len(data)))
+}
+
+// ReadTraceFile loads a trace from path.
+func ReadTraceFile(path string) (*Trace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return readTraceAt(f, fi.Size())
+}
+
+// readTraceAt loads a whole trace. A v3 container decodes every indexed
+// segment through SegmentReader — the lazy replay path's decoder, so a
+// resident trace and a lazily opened one cannot disagree about a byte.
+func readTraceAt(ra io.ReaderAt, size int64) (*Trace, error) {
+	hdr := make([]byte, len(traceMagic)+2)
+	if _, err := ra.ReadAt(hdr, 0); err != nil {
 		return nil, fmt.Errorf("replay: reading trace header: %w", err)
 	}
-	if string(magic[:len(traceMagic)]) != traceMagic {
+	if string(hdr[:len(traceMagic)]) != traceMagic {
 		return nil, fmt.Errorf("replay: not a trace file")
 	}
-	ver := int(magic[len(traceMagic)]) | int(magic[len(traceMagic)+1])<<8
 	var t Trace
-	switch ver {
+	switch ver := int(hdr[len(traceMagic)]) | int(hdr[len(traceMagic)+1])<<8; ver {
 	case TraceVersion:
-		if err := readSegments(r, &t); err != nil {
+		sr, err := NewSegmentReader(ra, size)
+		if err != nil {
 			return nil, err
 		}
-		if t.Meta.Version != TraceVersion {
-			return nil, fmt.Errorf("replay: trace meta version %d, want %d", t.Meta.Version, TraceVersion)
+		t.Meta, t.Segments = sr.meta, sr.segs
+		t.EndCycle, t.EndInstr, t.EndReason, t.EndDigest = sr.End()
+		for i, si := range sr.segs {
+			switch {
+			case si.IsEvents():
+				batch, err := sr.DecodeEvents(i)
+				if err != nil {
+					return nil, err
+				}
+				t.Events = append(t.Events, batch...)
+			case si.IsSnapshot():
+				cp, err := sr.DecodeCheckpoint(i)
+				if err != nil {
+					return nil, err
+				}
+				t.Checkpoints = append(t.Checkpoints, *cp)
+			}
 		}
 	case traceVersionV2:
-		if err := readTraceV2(r, &t); err != nil {
+		body := io.NewSectionReader(ra, int64(len(hdr)), size-int64(len(hdr)))
+		if err := readTraceV2(body, &t); err != nil {
 			return nil, err
 		}
 	default:
@@ -379,6 +365,23 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		return nil, err
 	}
 	return &t, nil
+}
+
+// Lazy re-encodes the trace with Write and opens the bytes through the
+// seek-index reader with an unbounded cache, the form every replay runs
+// on. Delta chains are validated first, since the lazy reader only
+// checks a chain when a restore walks it.
+func (t *Trace) Lazy() (*LazyTrace, error) { return t.lazy(math.MaxInt64) }
+
+func (t *Trace) lazy(budget int64) (*LazyTrace, error) {
+	if err := t.validateChains(); err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := t.Write(&buf); err != nil {
+		return nil, err
+	}
+	return NewLazyTrace(bytes.NewReader(buf.Bytes()), int64(buf.Len()), budget)
 }
 
 // readTraceV2 is the compatibility loader for the monolithic format.
@@ -473,14 +476,4 @@ func ReadTraceMetaFile(path string) (TraceMeta, error) {
 	}
 	return TraceMeta{}, fmt.Errorf("replay: trace version %d, want %d (or legacy %d)",
 		ver, TraceVersion, traceVersionV2)
-}
-
-// ReadTraceFile loads a trace from path.
-func ReadTraceFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadTrace(f)
 }

@@ -12,6 +12,10 @@ func TestNearestCheckpoint(t *testing.T) {
 		{Index: 1, Instr: 100},
 		{Index: 2, Instr: 250},
 	}}
+	lt, err := tr.Lazy()
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		pos  uint64
 		want int
@@ -19,12 +23,12 @@ func TestNearestCheckpoint(t *testing.T) {
 		{0, 0}, {50, 0}, {100, 1}, {249, 1}, {250, 2}, {1 << 40, 2},
 	}
 	for _, c := range cases {
-		if got := tr.nearestCheckpoint(c.pos); got != c.want {
-			t.Errorf("nearestCheckpoint(%d) = %d, want %d", c.pos, got, c.want)
+		if got := nearestCheckpointIdx(lt, c.pos); got != c.want {
+			t.Errorf("nearestCheckpointIdx(%d) = %d, want %d", c.pos, got, c.want)
 		}
 	}
-	if tr.StartInstr() != 0 {
-		t.Errorf("StartInstr = %d", tr.StartInstr())
+	if tr.StartInstr() != 0 || lt.StartInstr() != 0 {
+		t.Errorf("StartInstr = %d / %d", tr.StartInstr(), lt.StartInstr())
 	}
 }
 

@@ -308,6 +308,7 @@ func (t *Target) Record(opts RecordOptions) *replay.Recorder {
 // RecordStream begins recording straight to w in the streaming v3 trace
 // format: event batches, keyframes, and delta snapshots flush as the run
 // proceeds, so recorder memory stays bounded regardless of run length.
+// Record streams the same bytes into memory instead.
 // Call FinishStream on the returned recorder when the run is over (and
 // close w yourself if it is a file).
 func (t *Target) RecordStream(w io.Writer, opts RecordOptions) (*replay.Recorder, error) {
@@ -341,17 +342,21 @@ type ReplayTarget struct {
 }
 
 // Replay rebuilds the recorded target from a trace and rewinds it to the
-// trace's initial checkpoint.
+// trace's initial checkpoint. The trace replays through replay.Trace.Lazy,
+// the same seek-index reader a trace file opens with.
 func Replay(tr *replay.Trace) (*ReplayTarget, error) {
-	return ReplaySource(tr.AsSource())
+	lt, err := tr.Lazy()
+	if err != nil {
+		return nil, err
+	}
+	return ReplaySource(lt)
 }
 
-// ReplaySource rebuilds the recorded target from any trace source —
-// a fully resident *Trace or a lazily opened *LazyTrace (see
-// replay.OpenSourceFile) — and rewinds it to the trace's initial
-// checkpoint. On a lazy source the replay session's resident trace data
-// stays bounded by the LRU budget however long the recording is.
-func ReplaySource(src replay.Source) (*ReplayTarget, error) {
+// ReplaySource rebuilds the recorded target from a lazily opened trace
+// (see replay.OpenSourceFile) and rewinds it to the trace's initial
+// checkpoint. The replay session's resident trace data stays bounded by
+// the LRU budget however long the recording is.
+func ReplaySource(src *replay.LazyTrace) (*ReplayTarget, error) {
 	meta := src.Meta()
 	if meta.Custom {
 		return nil, fmt.Errorf("lvmm: trace records a custom machine; rebuild it and use replay.NewReplayerSource directly")

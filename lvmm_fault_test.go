@@ -134,7 +134,7 @@ func TestFaultPlanRecordsAndReplaysBitIdentically(t *testing.T) {
 		}
 		rt, err := ReplaySource(src)
 		if err != nil {
-			replay.CloseSource(src)
+			src.Close()
 			t.Fatal(err)
 		}
 		if err := rt.Replayer().RunToEnd(); err != nil {
@@ -149,7 +149,7 @@ func TestFaultPlanRecordsAndReplaysBitIdentically(t *testing.T) {
 		if got := rt.Machine().FaultsInjected(); got != r.FaultsInjected {
 			t.Errorf("replay %d re-injected %d faults, recorded run injected %d", i, got, r.FaultsInjected)
 		}
-		replay.CloseSource(src)
+		src.Close()
 	}
 }
 

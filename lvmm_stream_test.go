@@ -3,8 +3,6 @@ package lvmm
 import (
 	"bytes"
 	"context"
-	"flag"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -13,22 +11,11 @@ import (
 	"lvmm/internal/replay"
 )
 
-// regenGolden rewrites testdata/v2-golden.trc from the current engine.
-// Run `go test -run TestV2GoldenReplaysBitIdentically -regen-golden .`
-// only when the simulated timeline legitimately changes (which already
-// breaks every replay test) — the committed golden is the proof that
-// old v2 traces keep replaying through the compat loader.
-var regenGolden = flag.Bool("regen-golden", false, "regenerate testdata/v2-golden.trc")
-
+// goldenPath is a legacy v2 trace of a short lightweight streaming run
+// (interrupts, frames, two snapshot windows). Nothing writes v2 any
+// more, so the file never changes: it is the proof that old traces keep
+// replaying through the compatibility loader.
 const goldenPath = "testdata/v2-golden.trc"
-
-// goldenWorkload is the recording the golden file holds: small but real
-// (interrupts, frames, two snapshot windows).
-func goldenWorkload() Workload {
-	w := WorkloadDefaults(50)
-	w.Seconds = 0.1
-	return w
-}
 
 // TestV2GoldenReplaysBitIdentically reads the committed legacy-format
 // trace through the compatibility loader and replays it: the event
@@ -36,33 +23,6 @@ func goldenWorkload() Workload {
 // verify. This pins two invariants at once — the v2 container stays
 // readable, and the simulated timeline it recorded stays reproducible.
 func TestV2GoldenReplaysBitIdentically(t *testing.T) {
-	if *regenGolden {
-		target, err := NewStreamingTarget(Lightweight, goldenWorkload())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec := target.Record(RecordOptions{SnapshotInterval: 40_000_000, KeyframeEvery: 1})
-		if _, err := target.Run(); err != nil {
-			t.Fatal(err)
-		}
-		tr := rec.Finish()
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		f, err := os.Create(goldenPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.WriteV2(f); err != nil {
-			f.Close()
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("regenerated %s (%d events, %d checkpoints)", goldenPath, len(tr.Events), len(tr.Checkpoints))
-	}
-
 	tr, err := replay.ReadTraceFile(goldenPath)
 	if err != nil {
 		t.Fatalf("compat loader rejected the golden v2 trace: %v", err)
