@@ -10,11 +10,13 @@
 // copies, exactly the structure of the paper's lightweight VMM.
 //
 // Execution has two bit-identical engines: the per-instruction slow path
-// (Step) and a predecoded fast path (StepFast/BurstRun) backed by a
-// physical-page-indexed decode cache — see decode.go for the design and its
-// invalidation rules. Debug observers (breakpoints, watchpoints, spy
-// watches) are armed at page granularity, so the fast path stays on unless
-// execution actually touches an armed page — see observers.go.
+// (Step, interpreting raw words) and a predecoded fast path (BurstRun)
+// backed by a physical-page-indexed decode cache and a superblock tier —
+// see decode.go for the design and its invalidation rules, and eval.go for
+// the fast path's single copy of the ALU and branch semantics. Debug
+// observers (breakpoints, watchpoints, spy watches) are armed at page
+// granularity, so the fast path stays on unless execution actually touches
+// an armed page — see observers.go.
 package cpu
 
 import (
@@ -362,9 +364,9 @@ func (c *CPU) Step() StepResult {
 }
 
 // trapStep charges an instruction's base cycles (plus any translation
-// extra folded in by the caller) and delivers a trap — the slow-path
-// mirror of fastTrap. A named method instead of a per-execute closure
-// keeps the interpreter's hot entry free of closure setup.
+// extra folded in by the caller) and delivers a trap; both engines use it.
+// A named method instead of a per-execute closure keeps the interpreter's
+// hot entry free of closure setup.
 func (c *CPU) trapStep(cause, vaddr, epc uint32, cycles uint64) StepResult {
 	return StepResult{Cycles: cycles + c.raise(cause, vaddr, epc), Trapped: cause}
 }

@@ -8,8 +8,9 @@ import "lvmm/internal/isa"
 // redecoding the same words over and over: a tight guest loop pays a bus
 // read, an opcode extraction, and four field extractions on every trip.
 // The decode cache removes that: instruction words are decoded once into
-// physical-page-indexed arrays of predecoded micro-ops, and StepFast
-// dispatches on the cached form.
+// physical-page-indexed arrays of predecoded micro-ops, and BurstRun
+// dispatches on the cached form, evaluating ALU results and branch
+// conditions through the shared evaluator (eval.go).
 //
 // The cache is indexed by *physical* page, so remapping a virtual page to
 // a different frame, a TLB flush, or a PTBR change needs no invalidation —
@@ -44,13 +45,22 @@ const (
 	// HLT, MOVCR, MOVRC, TLBINV): below monitor level they always raise
 	// CausePriv, so BurstRun delivers that trap straight from the
 	// dispatcher — precomputed base cycles in imm, vaddr from raw —
-	// without the interpreter round trip. At monitor level (and in
-	// StepFast) they take the fnSlow route through execute.
+	// without the interpreter round trip. At monitor level they take the
+	// fnSlow route through execute.
 	fnPrivOp
 	fnSlow
 
 	// Straight-line ops: cannot halt, cannot change PSR/CRs, cannot touch
 	// ports, cannot arm observers. A burst may continue after them.
+	//
+	// aluRare's ops come first: straight-line, but never admitted into
+	// superblocks, so fn <= fnREMU means "not a block op".
+	fnSLT
+	fnSLTU
+	fnMUL
+	fnDIVU
+	fnREMU
+	// alu's ops. An immediate form shares its register form's kind.
 	fnADD
 	fnSUB
 	fnAND
@@ -59,18 +69,6 @@ const (
 	fnSHL
 	fnSHR
 	fnSRA
-	fnSLT
-	fnSLTU
-	fnMUL
-	fnDIVU
-	fnREMU
-	fnADDI
-	fnANDI
-	fnORI
-	fnXORI
-	fnSHLI
-	fnSHRI
-	fnSRAI
 	fnLUI
 	fnLW
 	fnLH
@@ -92,8 +90,8 @@ const (
 
 // decoded is one predecoded instruction: the dispatch kind, pre-extracted
 // register fields, and the immediate in its ready-to-use form (sign- or
-// zero-extended, pre-masked shift amounts, pre-shifted LUI value,
-// pre-scaled branch/jump displacement including the +4). raw keeps the
+// zero-extended, pre-shifted LUI value, pre-scaled branch/jump
+// displacement including the +4; zero for register forms). raw keeps the
 // original word for the fnSlow path and for trap vaddr reporting.
 type decoded struct {
 	fn  uint8
@@ -147,22 +145,24 @@ func decodeWord(w uint32) decoded {
 		d.fn = fnDIVU
 	case isa.OpREMU:
 		d.fn = fnREMU
+	// Immediate forms: the evaluator reads Regs[rs2] + imm, and the rs2
+	// field bits belong to the immediate, so rs2 becomes r0.
 	case isa.OpADDI:
-		d.fn, d.imm = fnADDI, uint32(isa.Imm18(w))
+		d.fn, d.rs2, d.imm = fnADD, 0, uint32(isa.Imm18(w))
 	case isa.OpANDI:
-		d.fn, d.imm = fnANDI, isa.Imm18U(w)
+		d.fn, d.rs2, d.imm = fnAND, 0, isa.Imm18U(w)
 	case isa.OpORI:
-		d.fn, d.imm = fnORI, isa.Imm18U(w)
+		d.fn, d.rs2, d.imm = fnOR, 0, isa.Imm18U(w)
 	case isa.OpXORI:
-		d.fn, d.imm = fnXORI, isa.Imm18U(w)
+		d.fn, d.rs2, d.imm = fnXOR, 0, isa.Imm18U(w)
 	case isa.OpSHLI:
-		d.fn, d.imm = fnSHLI, isa.Imm18U(w)&31
+		d.fn, d.rs2, d.imm = fnSHL, 0, isa.Imm18U(w)
 	case isa.OpSHRI:
-		d.fn, d.imm = fnSHRI, isa.Imm18U(w)&31
+		d.fn, d.rs2, d.imm = fnSHR, 0, isa.Imm18U(w)
 	case isa.OpSRAI:
-		d.fn, d.imm = fnSRAI, isa.Imm18U(w)&31
+		d.fn, d.rs2, d.imm = fnSRA, 0, isa.Imm18U(w)
 	case isa.OpLUI:
-		d.fn, d.imm = fnLUI, isa.Imm18U(w)<<14
+		d.fn, d.rs2, d.imm = fnLUI, 0, isa.Imm18U(w)<<14
 	case isa.OpLW:
 		d.fn, d.imm = fnLW, uint32(isa.Imm18(w))
 	case isa.OpLH:
@@ -359,10 +359,10 @@ type BurstResume func() (horizon uint64, ok bool)
 // block→block. Blocks never run on armed exec pages and bail to this loop
 // on any invalidation, so the tier is invisible to the timeline.
 //
-// Preconditions are StepFast's: BurstSafe holds and the CPU is neither
-// halted nor wedged; the caller guarantees *clk < horizon and maxTicks ≥ 1
-// on entry. Architectural effects and cycle charges are bit-identical to
-// an equivalent sequence of Step calls — including hardware breakpoints,
+// Preconditions: BurstSafe holds and the CPU is neither halted nor
+// wedged; the caller guarantees *clk < horizon and maxTicks ≥ 1 on entry.
+// Architectural effects and cycle charges are bit-identical to an
+// equivalent sequence of Step calls — including hardware breakpoints,
 // which are checked page-granularly: the armed-page test (execPageArmed)
 // is evaluated once per fetch-page crossing, and only instructions on an
 // armed page pay Step's exact per-slot PC comparison. A hit disarms the
@@ -494,14 +494,15 @@ func (c *CPU) BurstRun(clk *uint64, horizon, maxTicks uint64, resume BurstResume
 			}
 			return n, BurstTrap
 		}
-		// Superblock dispatch: only when the first op is straight-line (a
-		// block starting with a slow op or a terminator can never reach
-		// sbMinLen, so slow-op-dense code — the trap benchmarks — never
-		// pays a block lookup), on an unarmed page, and when the remaining
-		// budget and the horizon cap admit a full worst-case block. A
+		// Superblock dispatch: only when the first op is a block op (a
+		// block starting with a slow op, an aluRare op or a terminator can
+		// never reach sbMinLen, so slow-op-dense code — the trap
+		// benchmarks — never pays a block lookup), on an unarmed page, and
+		// when the remaining budget and the horizon cap admit a full
+		// worst-case block. A
 		// pending chain-link request from a previous block's hot taken
 		// exit is fulfilled here, where the target's block is known.
-		if d.fn > fnSlow && d.fn < fnBEQ && !bpArmed {
+		if d.fn > fnREMU && d.fn < fnBEQ && !bpArmed {
 			if b := c.sbLookup(pa); b != nil {
 				if c.sbLink != nil {
 					if c.sbLinkVA == instPC {
@@ -587,7 +588,7 @@ func (c *CPU) BurstRun(clk *uint64, horizon, maxTicks uint64, resume BurstResume
 			// in trap- and I/O-dense code are the hottest op left on the
 			// per-instruction path (straight-line runs live in
 			// superblocks).
-			c.setRegFast(d.rd, instPC+4)
+			c.setReg(int(d.rd), instPC+4)
 			c.PC = instPC + d.imm
 			c.Stat.Instructions++
 			*clk += uint64(isa.CycJump) + cyc
@@ -626,112 +627,68 @@ func (c *CPU) fuseTrap(resume BurstResume) (uint64, bool) {
 	return resume()
 }
 
-// StepFast executes one instruction through the decode cache. The caller
-// must guarantee the BurstSafe preconditions and that the CPU is neither
-// halted nor wedged. The bool result reports whether the burst may
-// continue: true only for straight-line ops that completed without a trap.
-// Architectural effects and cycle charges are bit-identical to Step.
-func (c *CPU) StepFast() (StepResult, bool) {
-	instPC := c.PC
-
-	// Hardware breakpoints fire before execution, exactly as in Step.
-	if c.hwBreakAny && c.execPageArmed(instPC>>isa.PageShift) {
-		for i, en := range c.hwBreakEn {
-			if en && c.hwBreak[i] == instPC {
-				c.hwBreakEn[i] = false
-				c.recalcObservers()
-				cyc := c.raise(isa.CauseBRK, instPC, instPC)
-				return StepResult{Cycles: cyc, Wedged: c.wedged, Trapped: isa.CauseBRK}, false
-			}
-		}
-	}
-
-	if instPC&3 != 0 {
-		cyc := c.raise(isa.CauseAlign, instPC, instPC)
-		return StepResult{Cycles: cyc, Wedged: c.wedged, Trapped: isa.CauseAlign}, false
-	}
-	pa, cause, cyc := c.translate(instPC, false)
-	if cause != isa.CauseNone {
-		cyc += c.raise(cause, instPC, instPC)
-		return StepResult{Cycles: cyc, Wedged: c.wedged, Trapped: cause}, false
-	}
-	d := c.decodeLookup(pa)
-	if d == nil {
-		cyc += c.raise(isa.CauseBusError, instPC, instPC)
-		return StepResult{Cycles: cyc, Wedged: c.wedged, Trapped: isa.CauseBusError}, false
-	}
-
-	var res StepResult
-	pure := d.fn > fnSlow
-	if pure {
-		res = c.executeFast(d, instPC)
-	} else {
-		res = c.execute(instPC, d.raw)
-	}
-	res.Cycles += cyc
-	c.Stat.Instructions++
-	// The slow path's TF bookkeeping is skipped: PSR.TF is clear on entry
-	// (BurstSafe) and straight-line ops cannot set it.
-	res.Halted = c.halted
-	res.Wedged = c.wedged
-	return res, pure && res.Trapped == isa.CauseNone
-}
-
-func (c *CPU) setRegFast(r uint8, v uint32) {
-	if r != 0 {
-		c.Regs[r] = v
-	}
-}
-
-// fastTrap mirrors execute's trap helper: charge the op's base cycles (plus
-// any translation extra folded into base by the caller) and deliver.
-func (c *CPU) fastTrap(cause, vaddr, epc uint32, base uint64) StepResult {
-	return StepResult{Cycles: base + c.raise(cause, vaddr, epc), Trapped: cause}
-}
-
-// executeFast runs one predecoded straight-line instruction, mirroring the
-// corresponding arm of execute exactly — same results, same trap causes,
-// same cycle charges. The store arms gate the slow path's spy/watch tail
+// executeFast runs one predecoded straight-line instruction other than JAL
+// (which BurstRun executes inline): same results, trap causes and cycle
+// charges as execute. ALU results and branch conditions come from the
+// shared evaluator. The store arms gate the slow path's spy/watch tail
 // behind the armed write envelope (storeObserved): stores outside every
 // armed page skip it — observably identical, since the per-slot
-// intersection checks would have missed — and stores inside run the shared
-// observedStore tail, bit-identical to Step.
+// intersection checks would have missed — and stores inside run the
+// shared observedStore tail.
 func (c *CPU) executeFast(d *decoded, instPC uint32) StepResult {
-	var v uint32
+	switch {
+	case d.fn <= fnREMU:
+		c.setReg(int(d.rd), aluRare(d.fn, c.Regs[d.rs1], c.Regs[d.rs2]))
+		c.PC = instPC + 4
+		return StepResult{Cycles: opCycMax(d.fn)}
+	case d.fn <= fnLUI:
+		c.setReg(int(d.rd), alu(d.fn, c.Regs[d.rs1], c.Regs[d.rs2]+d.imm))
+		c.PC = instPC + 4
+		return StepResult{Cycles: isa.CycALU}
+	case d.fn >= fnBEQ && d.fn <= fnBGEU:
+		// d.imm is the taken displacement (offset*4+4), matching the slow
+		// path's instPC + 4 + offset*4 modulo 2^32.
+		if cond(d.fn, c.Regs[d.rd], c.Regs[d.rs1]) {
+			c.PC = instPC + d.imm
+			return StepResult{Cycles: isa.CycTaken}
+		}
+		c.PC = instPC + 4
+		return StepResult{Cycles: isa.CycBranch}
+	}
 	switch d.fn {
 	case fnLW:
 		va := c.Regs[d.rs1] + d.imm
 		if va&3 != 0 {
-			return c.fastTrap(isa.CauseAlign, va, instPC, isa.CycLoad)
+			return c.trapStep(isa.CauseAlign, va, instPC, isa.CycLoad)
 		}
 		pa, cause, extra := c.translate(va, false)
 		if cause != isa.CauseNone {
-			return c.fastTrap(cause, va, instPC, isa.CycLoad+extra)
+			return c.trapStep(cause, va, instPC, isa.CycLoad+extra)
 		}
 		w, ok := c.bus.Read32(pa)
 		if !ok {
-			return c.fastTrap(isa.CauseBusError, va, instPC, isa.CycLoad+extra)
+			return c.trapStep(isa.CauseBusError, va, instPC, isa.CycLoad+extra)
 		}
-		c.setRegFast(d.rd, w)
+		c.setReg(int(d.rd), w)
 		c.PC = instPC + 4
 		return StepResult{Cycles: isa.CycLoad + extra}
 	case fnLH, fnLHU:
 		va := c.Regs[d.rs1] + d.imm
 		if va&1 != 0 {
-			return c.fastTrap(isa.CauseAlign, va, instPC, isa.CycLoad)
+			return c.trapStep(isa.CauseAlign, va, instPC, isa.CycLoad)
 		}
 		pa, cause, extra := c.translate(va, false)
 		if cause != isa.CauseNone {
-			return c.fastTrap(cause, va, instPC, isa.CycLoad+extra)
+			return c.trapStep(cause, va, instPC, isa.CycLoad+extra)
 		}
 		h, ok := c.bus.Read16(pa)
 		if !ok {
-			return c.fastTrap(isa.CauseBusError, va, instPC, isa.CycLoad+extra)
+			return c.trapStep(isa.CauseBusError, va, instPC, isa.CycLoad+extra)
 		}
 		if d.fn == fnLH {
-			c.setRegFast(d.rd, uint32(int32(int16(h))))
+			c.setReg(int(d.rd), uint32(int32(int16(h))))
 		} else {
-			c.setRegFast(d.rd, uint32(h))
+			c.setReg(int(d.rd), uint32(h))
 		}
 		c.PC = instPC + 4
 		return StepResult{Cycles: isa.CycLoad + extra}
@@ -739,16 +696,16 @@ func (c *CPU) executeFast(d *decoded, instPC uint32) StepResult {
 		va := c.Regs[d.rs1] + d.imm
 		pa, cause, extra := c.translate(va, false)
 		if cause != isa.CauseNone {
-			return c.fastTrap(cause, va, instPC, isa.CycLoad+extra)
+			return c.trapStep(cause, va, instPC, isa.CycLoad+extra)
 		}
 		b, ok := c.bus.Read8(pa)
 		if !ok {
-			return c.fastTrap(isa.CauseBusError, va, instPC, isa.CycLoad+extra)
+			return c.trapStep(isa.CauseBusError, va, instPC, isa.CycLoad+extra)
 		}
 		if d.fn == fnLB {
-			c.setRegFast(d.rd, uint32(int32(int8(b))))
+			c.setReg(int(d.rd), uint32(int32(int8(b))))
 		} else {
-			c.setRegFast(d.rd, uint32(b))
+			c.setReg(int(d.rd), uint32(b))
 		}
 		c.PC = instPC + 4
 		return StepResult{Cycles: isa.CycLoad + extra}
@@ -756,14 +713,14 @@ func (c *CPU) executeFast(d *decoded, instPC uint32) StepResult {
 	case fnSW:
 		va := c.Regs[d.rs1] + d.imm
 		if va&3 != 0 {
-			return c.fastTrap(isa.CauseAlign, va, instPC, isa.CycStore)
+			return c.trapStep(isa.CauseAlign, va, instPC, isa.CycStore)
 		}
 		pa, cause, extra := c.translate(va, true)
 		if cause != isa.CauseNone {
-			return c.fastTrap(cause, va, instPC, isa.CycStore+extra)
+			return c.trapStep(cause, va, instPC, isa.CycStore+extra)
 		}
 		if !c.bus.Write32(pa, c.Regs[d.rd]) {
-			return c.fastTrap(isa.CauseBusError, va, instPC, isa.CycStore+extra)
+			return c.trapStep(isa.CauseBusError, va, instPC, isa.CycStore+extra)
 		}
 		if c.storeObserved(va, 4) {
 			return c.observedStore(va, 4, instPC, isa.CycStore+extra)
@@ -773,14 +730,14 @@ func (c *CPU) executeFast(d *decoded, instPC uint32) StepResult {
 	case fnSH:
 		va := c.Regs[d.rs1] + d.imm
 		if va&1 != 0 {
-			return c.fastTrap(isa.CauseAlign, va, instPC, isa.CycStore)
+			return c.trapStep(isa.CauseAlign, va, instPC, isa.CycStore)
 		}
 		pa, cause, extra := c.translate(va, true)
 		if cause != isa.CauseNone {
-			return c.fastTrap(cause, va, instPC, isa.CycStore+extra)
+			return c.trapStep(cause, va, instPC, isa.CycStore+extra)
 		}
 		if !c.bus.Write16(pa, uint16(c.Regs[d.rd])) {
-			return c.fastTrap(isa.CauseBusError, va, instPC, isa.CycStore+extra)
+			return c.trapStep(isa.CauseBusError, va, instPC, isa.CycStore+extra)
 		}
 		if c.storeObserved(va, 2) {
 			return c.observedStore(va, 2, instPC, isa.CycStore+extra)
@@ -791,118 +748,20 @@ func (c *CPU) executeFast(d *decoded, instPC uint32) StepResult {
 		va := c.Regs[d.rs1] + d.imm
 		pa, cause, extra := c.translate(va, true)
 		if cause != isa.CauseNone {
-			return c.fastTrap(cause, va, instPC, isa.CycStore+extra)
+			return c.trapStep(cause, va, instPC, isa.CycStore+extra)
 		}
 		if !c.bus.Write8(pa, byte(c.Regs[d.rd])) {
-			return c.fastTrap(isa.CauseBusError, va, instPC, isa.CycStore+extra)
+			return c.trapStep(isa.CauseBusError, va, instPC, isa.CycStore+extra)
 		}
 		if c.storeObserved(va, 1) {
 			return c.observedStore(va, 1, instPC, isa.CycStore+extra)
 		}
 		c.PC = instPC + 4
 		return StepResult{Cycles: isa.CycStore + extra}
-
-	case fnBEQ:
-		return c.branch(c.Regs[d.rd] == c.Regs[d.rs1], d, instPC)
-	case fnBNE:
-		return c.branch(c.Regs[d.rd] != c.Regs[d.rs1], d, instPC)
-	case fnBLT:
-		return c.branch(int32(c.Regs[d.rd]) < int32(c.Regs[d.rs1]), d, instPC)
-	case fnBGE:
-		return c.branch(int32(c.Regs[d.rd]) >= int32(c.Regs[d.rs1]), d, instPC)
-	case fnBLTU:
-		return c.branch(c.Regs[d.rd] < c.Regs[d.rs1], d, instPC)
-	case fnBGEU:
-		return c.branch(c.Regs[d.rd] >= c.Regs[d.rs1], d, instPC)
-
-	case fnJAL:
-		c.setRegFast(d.rd, instPC+4)
-		c.PC = instPC + d.imm
-		return StepResult{Cycles: isa.CycJump}
-	case fnJALR:
-		target := c.Regs[d.rs1] + d.imm
-		c.setRegFast(d.rd, instPC+4)
-		c.PC = target
-		return StepResult{Cycles: isa.CycJump}
-
-	case fnADD:
-		v = c.Regs[d.rs1] + c.Regs[d.rs2]
-	case fnSUB:
-		v = c.Regs[d.rs1] - c.Regs[d.rs2]
-	case fnAND:
-		v = c.Regs[d.rs1] & c.Regs[d.rs2]
-	case fnOR:
-		v = c.Regs[d.rs1] | c.Regs[d.rs2]
-	case fnXOR:
-		v = c.Regs[d.rs1] ^ c.Regs[d.rs2]
-	case fnSHL:
-		v = c.Regs[d.rs1] << (c.Regs[d.rs2] & 31)
-	case fnSHR:
-		v = c.Regs[d.rs1] >> (c.Regs[d.rs2] & 31)
-	case fnSRA:
-		v = uint32(int32(c.Regs[d.rs1]) >> (c.Regs[d.rs2] & 31))
-	case fnSLT:
-		if int32(c.Regs[d.rs1]) < int32(c.Regs[d.rs2]) {
-			v = 1
-		}
-	case fnSLTU:
-		if c.Regs[d.rs1] < c.Regs[d.rs2] {
-			v = 1
-		}
-	case fnMUL:
-		c.setRegFast(d.rd, c.Regs[d.rs1]*c.Regs[d.rs2])
-		c.PC = instPC + 4
-		return StepResult{Cycles: isa.CycMUL}
-	case fnDIVU:
-		div := c.Regs[d.rs2]
-		if div == 0 {
-			v = 0xFFFFFFFF
-		} else {
-			v = c.Regs[d.rs1] / div
-		}
-		c.setRegFast(d.rd, v)
-		c.PC = instPC + 4
-		return StepResult{Cycles: isa.CycDIV}
-	case fnREMU:
-		div := c.Regs[d.rs2]
-		if div == 0 {
-			v = c.Regs[d.rs1]
-		} else {
-			v = c.Regs[d.rs1] % div
-		}
-		c.setRegFast(d.rd, v)
-		c.PC = instPC + 4
-		return StepResult{Cycles: isa.CycDIV}
-	case fnADDI:
-		v = c.Regs[d.rs1] + d.imm
-	case fnANDI:
-		v = c.Regs[d.rs1] & d.imm
-	case fnORI:
-		v = c.Regs[d.rs1] | d.imm
-	case fnXORI:
-		v = c.Regs[d.rs1] ^ d.imm
-	case fnSHLI:
-		v = c.Regs[d.rs1] << d.imm
-	case fnSHRI:
-		v = c.Regs[d.rs1] >> d.imm
-	case fnSRAI:
-		v = uint32(int32(c.Regs[d.rs1]) >> d.imm)
-	case fnLUI:
-		v = d.imm
 	}
-	c.setRegFast(d.rd, v)
-	c.PC = instPC + 4
-	return StepResult{Cycles: isa.CycALU}
-}
-
-// branch resolves a predecoded conditional branch. d.imm carries the
-// taken displacement (offset*4+4), matching the slow path's
-// instPC + 4 + offset*4 arithmetic modulo 2^32.
-func (c *CPU) branch(taken bool, d *decoded, instPC uint32) StepResult {
-	if taken {
-		c.PC = instPC + d.imm
-		return StepResult{Cycles: isa.CycTaken}
-	}
-	c.PC = instPC + 4
-	return StepResult{Cycles: isa.CycBranch}
+	// fnJALR.
+	target := c.Regs[d.rs1] + d.imm
+	c.setReg(int(d.rd), instPC+4)
+	c.PC = target
+	return StepResult{Cycles: isa.CycJump}
 }

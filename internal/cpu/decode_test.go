@@ -29,9 +29,32 @@ func loadBoth(a, b *CPU, addr uint32, words []uint32) {
 	}
 }
 
-// lockstep runs slow (Step) and fast (StepFast) engines side by side for at
-// most maxSteps, comparing results and complete state after every step.
-// Returns the number of steps taken.
+// burstStep retires one instruction on each engine — Step on slow, a
+// one-tick BurstRun on fast — and fails unless the clock charges, the trap
+// disposition and the complete snapshots agree. Returns slow's result.
+func burstStep(t *testing.T, slow, fast *CPU) StepResult {
+	t.Helper()
+	if !fast.BurstSafe() {
+		t.Fatalf("pc=%08x: fast engine not burst-safe", fast.PC)
+	}
+	pc := slow.PC
+	var clk uint64
+	n, brk := fast.BurstRun(&clk, 1<<62, 1, nil)
+	rs := slow.Step()
+	if n != 1 || clk != rs.Cycles || (brk == BurstTrap) != (rs.Trapped != isa.CauseNone) {
+		t.Fatalf("pc=%08x: step diverged: slow %+v, fast ticks=%d cycles=%d brk=%d",
+			pc, rs, n, clk, brk)
+	}
+	if ss, sf := slow.Snapshot(), fast.Snapshot(); ss != sf {
+		t.Fatalf("pc=%08x: state diverged:\n  slow: pc=%08x regs=%v stat=%+v\n  fast: pc=%08x regs=%v stat=%+v",
+			pc, ss.PC, ss.Regs, ss.Stat, sf.PC, sf.Regs, sf.Stat)
+	}
+	return rs
+}
+
+// lockstep runs slow (Step) and fast (one-tick BurstRun) engines side by
+// side for at most maxSteps, comparing results and complete state after
+// every step. Returns the number of steps taken.
 func lockstep(t *testing.T, slow, fast *CPU, maxSteps int) int {
 	t.Helper()
 	for i := 0; i < maxSteps; i++ {
@@ -42,17 +65,7 @@ func lockstep(t *testing.T, slow, fast *CPU, maxSteps int) int {
 			}
 			return i
 		}
-		rs := slow.Step()
-		rf, _ := fast.StepFast()
-		if rs != rf {
-			t.Fatalf("step %d (pc=%08x): result diverged:\n  slow: %+v\n  fast: %+v",
-				i, slow.PC, rs, rf)
-		}
-		ss, sf := slow.Snapshot(), fast.Snapshot()
-		if ss != sf {
-			t.Fatalf("step %d: state diverged:\n  slow: pc=%08x regs=%v stat=%+v\n  fast: pc=%08x regs=%v stat=%+v",
-				i, ss.PC, ss.Regs, ss.Stat, sf.PC, sf.Regs, sf.Stat)
-		}
+		burstStep(t, slow, fast)
 	}
 	return maxSteps
 }
@@ -103,35 +116,43 @@ func genMixedInstr(rng *rand.Rand, progLen int) uint32 {
 }
 
 // TestStepFastMatchesStepDifferential runs many random programs through
-// both engines in lockstep. Traps vector to a handler that halts, so every
-// program ends after at most one trap with full state comparable.
+// the predecoded engine against Step: once a tick at a time (the
+// per-instruction dispatcher), once at an open budget (superblocks, whose
+// body and terminator evaluation the one-tick runs never reach). Traps
+// vector to a handler that halts, so every program ends after at most one
+// trap with full state comparable.
 func TestStepFastMatchesStepDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const progBase, scratch, handler = 0x1000, 0x8000, 0x3000
 	for prog := 0; prog < 300; prog++ {
-		slow, fast := twinCPUs(1<<20, progBase)
-		// Vector table at 0 (reset VBAR): every cause → handler → HLT.
-		for v := uint32(0); v < isa.NumVectors; v++ {
-			slow.Bus().Write32(v*4, handler)
-			fast.Bus().Write32(v*4, handler)
-		}
-		loadBoth(slow, fast, handler, []uint32{isa.EncodeR(isa.OpHLT, 0, 0, 0)})
-
 		words := make([]uint32, 120)
 		for i := range words {
 			words[i] = genMixedInstr(rng, len(words))
 		}
 		words[len(words)-1] = isa.EncodeR(isa.OpHLT, 0, 0, 0)
-		loadBoth(slow, fast, progBase, words)
-
 		// Identical random register seeds; r15 points at scratch.
+		var regs [16]uint32
 		for r := 1; r < 15; r++ {
-			v := rng.Uint32()
-			slow.Regs[r], fast.Regs[r] = v, v
+			regs[r] = rng.Uint32()
 		}
-		slow.Regs[15], fast.Regs[15] = scratch, scratch
+		regs[15] = scratch
 
+		twins := func() (*CPU, *CPU) {
+			slow, fast := twinCPUs(1<<20, progBase)
+			// Vector table at 0 (reset VBAR): every cause → handler → HLT.
+			for v := uint32(0); v < isa.NumVectors; v++ {
+				slow.Bus().Write32(v*4, handler)
+				fast.Bus().Write32(v*4, handler)
+			}
+			loadBoth(slow, fast, handler, []uint32{isa.EncodeR(isa.OpHLT, 0, 0, 0)})
+			loadBoth(slow, fast, progBase, words)
+			slow.Regs, fast.Regs = regs, regs
+			return slow, fast
+		}
+		slow, fast := twins()
 		lockstep(t, slow, fast, 400)
+		slow, fast = twins()
+		burstVsStep(t, slow, fast, 1<<62, 1<<62)
 	}
 }
 
@@ -210,14 +231,7 @@ func TestDecodeCacheRemapMidBurst(t *testing.T) {
 	step := func(n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			rs := slow.Step()
-			rf, _ := fast.StepFast()
-			if rs != rf {
-				t.Fatalf("engines diverged at pc=%08x: slow %+v fast %+v", slow.PC, rs, rf)
-			}
-			if ss, sf := slow.Snapshot(), fast.Snapshot(); ss != sf {
-				t.Fatalf("state diverged at pc=%08x: slow r1=%d fast r1=%d", ss.PC, ss.Regs[1], sf.Regs[1])
-			}
+			burstStep(t, slow, fast)
 		}
 	}
 

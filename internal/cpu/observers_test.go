@@ -154,8 +154,9 @@ func TestRestoreRebuildsArming(t *testing.T) {
 }
 
 // TestOneShotDisarmRecalc checks that a hardware breakpoint firing — via
-// Step, StepFast, or inside BurstRun — leaves the derived arming state
-// consistent with the now-disarmed slot.
+// Step, a one-tick BurstRun checked against Step, or inside a longer
+// BurstRun — leaves the derived arming state consistent with the
+// now-disarmed slot.
 func TestOneShotDisarmRecalc(t *testing.T) {
 	const src = `
         .org 0x1000
@@ -170,10 +171,11 @@ func TestOneShotDisarmRecalc(t *testing.T) {
 				t.Fatalf("Step: trapped %d, want BRK", res.Trapped)
 			}
 		},
-		"StepFast": func(c *CPU) {
-			res, _ := c.StepFast()
-			if res.Trapped != isa.CauseBRK {
-				t.Fatalf("StepFast: trapped %d, want BRK", res.Trapped)
+		"BurstRun one tick": func(c *CPU) {
+			ref, _ := buildCPU(t, src)
+			must(t, ref.SetHWBreak(2, 0x1000, true))
+			if res := burstStep(t, ref, c); res.Trapped != isa.CauseBRK {
+				t.Fatalf("BurstRun one tick: trapped %d, want BRK", res.Trapped)
 			}
 		},
 		"BurstRun": func(c *CPU) {

@@ -8,11 +8,13 @@ import "lvmm/internal/isa"
 // every instruction re-checks the tick budget, re-translates its PC,
 // re-indexes the decode cache, and re-compares the clock against the event
 // horizon. Superblocks lift all of that to basic-block granularity: a
-// straight-line run of predecoded micro-ops within one physical page —
-// ended by a branch/jump (included), a slow op (excluded), or the page
-// edge — is copied into a contiguous block, entered with ONE fetch
-// translation and ONE cache lookup, and executed with batched clock and
-// instruction-count bookkeeping. Hot taken edges are then chained
+// straight-line run of predecoded alu and memory ops within one physical
+// page — ended by a branch/jump (included), a slow or aluRare op
+// (excluded: SLT/SLTU/MUL/DIVU/REMU are too rare in guest code to earn a
+// place in the block loops), or the page edge — is copied into a
+// contiguous block, entered with ONE fetch translation and ONE cache
+// lookup, and executed with batched clock and instruction-count
+// bookkeeping. Hot taken edges are then chained
 // block→block (profile-counted, installed after sbChainMin taken exits),
 // so a tight loop dispatches without returning to BurstRun's loop top.
 //
@@ -61,9 +63,9 @@ import "lvmm/internal/isa"
 //   - Observer composition. Blocks never run on a page with an armed
 //     hardware breakpoint (the dispatcher checks before entry, chain
 //     follows check the target page), so Step's per-slot PC compares are
-//     preserved on armed pages. Stores inside blocks run executeFast's
-//     armed-envelope gate unchanged, so watch/spy semantics are the
-//     per-instruction engine's, bit for bit.
+//     preserved on armed pages. Memory ops inside blocks run through
+//     executeFast itself, so watch/spy semantics are the per-instruction
+//     engine's.
 //
 //   - Chains are hints. A chain edge stores the successor block and the
 //     virtual target it was established for; following one revalidates
@@ -175,7 +177,7 @@ const (
 const sbMemMax = isa.CycTLBMiss
 
 // opCycMax returns the worst-case non-trapping cycle charge of one
-// predecoded op.
+// predecoded op; for a non-memory op it is the exact charge.
 func opCycMax(fn uint8) uint64 {
 	switch {
 	case fn >= fnLW && fn <= fnLBU:
@@ -253,7 +255,7 @@ func (c *CPU) sbBuild(sp *sbPage, pa, idx uint32) *superblock {
 			*d = decodeWord(w)
 		}
 		end = i
-		if d.fn <= fnSlow { // slow op or privileged op: never in blocks
+		if d.fn <= fnREMU { // slow, privileged or aluRare op: never in blocks
 			break
 		}
 		ops = append(ops, *d)
@@ -327,16 +329,15 @@ func sbInvalidatePage(sp *sbPage) {
 // n0 ticks were already consumed by the burst; the caller guaranteed the
 // first block fits the remaining budget and the horizon cap.
 //
-// Non-memory ops execute through an inline micro-interpreter whose arms
-// MUST mirror executeFast's exactly (same results, same trap-freedom,
-// same cycle charges — the machine-level lockstep differentials and the
-// superblock fuzzer enforce this). The inlining is where the tier's speed
-// comes from: no per-op call, no per-op StepResult, and — crucially — no
-// per-op c.PC store. PC is dead inside a block: nothing observes it until
-// a trap (mem ops pass their epc explicitly and diverters never read PC —
-// the only monitor path that does, installGuestPTBR, is reached through a
-// slow op, which blocks exclude) or the block's end, where the terminator
-// arm (or the straight-line epilogue) materializes it.
+// Memory ops run through executeFast. Body ALU ops and the terminator
+// evaluate through the shared evaluator (eval.go), inlined into the loops
+// here: no per-op call, no per-op StepResult, and — crucially — no per-op
+// c.PC store. That is where the tier's speed comes from. PC is dead inside
+// a block: nothing observes it until a trap (mem ops pass their epc
+// explicitly and diverters never read PC — the only monitor path that
+// does, installGuestPTBR, is reached through a slow op, which blocks
+// exclude) or the block's end, where the terminator arm (or the
+// straight-line epilogue) materializes it.
 //
 // Returns the new tick count, the (possibly refreshed, if a trap fused)
 // horizon, the exit disposition, and pending fetch cycles for the
@@ -373,7 +374,7 @@ newBlock:
 			var k uint64 // uncommitted op count
 			for i := uint32(0); i < body; i++ {
 				d := &ops[i]
-				if d.fn >= fnLW && d.fn <= fnSB {
+				if d.fn >= fnLW {
 					// The op can trap (and stores can hit spy/watch observers):
 					// commit the batched bookkeeping so diverters and hooks see
 					// the exact pre-instruction clock and instruction count.
@@ -411,111 +412,27 @@ newBlock:
 					va += 4
 					continue
 				}
-				// Straight-line ALU ops: cannot trap, cannot observe PC.
-				// Each arm mirrors executeFast's bit for bit.
-				var v uint32
-				cycs := uint64(isa.CycALU)
-				switch d.fn {
-				case fnADDI:
-					v = c.Regs[d.rs1] + d.imm
-				case fnADD:
-					v = c.Regs[d.rs1] + c.Regs[d.rs2]
-				case fnSUB:
-					v = c.Regs[d.rs1] - c.Regs[d.rs2]
-				case fnAND:
-					v = c.Regs[d.rs1] & c.Regs[d.rs2]
-				case fnOR:
-					v = c.Regs[d.rs1] | c.Regs[d.rs2]
-				case fnXOR:
-					v = c.Regs[d.rs1] ^ c.Regs[d.rs2]
-				case fnSHL:
-					v = c.Regs[d.rs1] << (c.Regs[d.rs2] & 31)
-				case fnSHR:
-					v = c.Regs[d.rs1] >> (c.Regs[d.rs2] & 31)
-				case fnSRA:
-					v = uint32(int32(c.Regs[d.rs1]) >> (c.Regs[d.rs2] & 31))
-				case fnSLT:
-					if int32(c.Regs[d.rs1]) < int32(c.Regs[d.rs2]) {
-						v = 1
-					}
-				case fnSLTU:
-					if c.Regs[d.rs1] < c.Regs[d.rs2] {
-						v = 1
-					}
-				case fnMUL:
-					v = c.Regs[d.rs1] * c.Regs[d.rs2]
-					cycs = isa.CycMUL
-				case fnDIVU:
-					if div := c.Regs[d.rs2]; div == 0 {
-						v = 0xFFFFFFFF
-					} else {
-						v = c.Regs[d.rs1] / div
-					}
-					cycs = isa.CycDIV
-				case fnREMU:
-					if div := c.Regs[d.rs2]; div == 0 {
-						v = c.Regs[d.rs1]
-					} else {
-						v = c.Regs[d.rs1] % div
-					}
-					cycs = isa.CycDIV
-				case fnANDI:
-					v = c.Regs[d.rs1] & d.imm
-				case fnORI:
-					v = c.Regs[d.rs1] | d.imm
-				case fnXORI:
-					v = c.Regs[d.rs1] ^ d.imm
-				case fnSHLI:
-					v = c.Regs[d.rs1] << d.imm
-				case fnSHRI:
-					v = c.Regs[d.rs1] >> d.imm
-				case fnSRAI:
-					v = uint32(int32(c.Regs[d.rs1]) >> d.imm)
-				case fnLUI:
-					v = d.imm
-				}
-				if d.rd != 0 {
-					c.Regs[d.rd] = v
-				}
-				acc += cycs
+				// ALU op: cannot trap, cannot observe PC.
+				c.setReg(int(d.rd), alu(d.fn, c.Regs[d.rs1], c.Regs[d.rs2]+d.imm))
+				acc += isa.CycALU
 				k++
 				va += 4
 			}
 			if term {
-				// Terminator: resolves and materializes PC, mirroring
-				// executeFast's branch/JAL/JALR arms.
+				// Terminator: resolves and materializes PC.
 				d := td
 				switch d.fn {
 				case fnJAL:
-					if d.rd != 0 {
-						c.Regs[d.rd] = va + 4
-					}
+					c.setReg(int(d.rd), va+4)
 					c.PC = va + d.imm
 					acc += isa.CycJump
 				case fnJALR:
 					tgt := c.Regs[d.rs1] + d.imm
-					if d.rd != 0 {
-						c.Regs[d.rd] = va + 4
-					}
+					c.setReg(int(d.rd), va+4)
 					c.PC = tgt
 					acc += isa.CycJump
 				default:
-					var taken bool
-					switch d.fn {
-					case fnBEQ:
-						taken = c.Regs[d.rd] == c.Regs[d.rs1]
-					case fnBNE:
-						taken = c.Regs[d.rd] != c.Regs[d.rs1]
-					case fnBLT:
-						taken = int32(c.Regs[d.rd]) < int32(c.Regs[d.rs1])
-					case fnBGE:
-						taken = int32(c.Regs[d.rd]) >= int32(c.Regs[d.rs1])
-					case fnBLTU:
-						taken = c.Regs[d.rd] < c.Regs[d.rs1]
-					case fnBGEU:
-						taken = c.Regs[d.rd] >= c.Regs[d.rs1]
-					}
-					if taken {
+					if cond(d.fn, c.Regs[d.rd], c.Regs[d.rs1]) {
 						c.PC = va + d.imm
 						acc += isa.CycTaken
 					} else {
@@ -578,94 +495,15 @@ newBlock:
 					taken := true
 					for {
 						for i := uint32(0); i < body; i++ {
-							// Arms mirror the general body loop's (and so
-							// executeFast's) bit for bit; cycle charges are
-							// pre-summed in cycTaken.
+							// Cycle charges are pre-summed in cycTaken.
 							d := &ops[i]
-							var v uint32
-							switch d.fn {
-							case fnADDI:
-								v = c.Regs[d.rs1] + d.imm
-							case fnADD:
-								v = c.Regs[d.rs1] + c.Regs[d.rs2]
-							case fnSUB:
-								v = c.Regs[d.rs1] - c.Regs[d.rs2]
-							case fnAND:
-								v = c.Regs[d.rs1] & c.Regs[d.rs2]
-							case fnOR:
-								v = c.Regs[d.rs1] | c.Regs[d.rs2]
-							case fnXOR:
-								v = c.Regs[d.rs1] ^ c.Regs[d.rs2]
-							case fnSHL:
-								v = c.Regs[d.rs1] << (c.Regs[d.rs2] & 31)
-							case fnSHR:
-								v = c.Regs[d.rs1] >> (c.Regs[d.rs2] & 31)
-							case fnSRA:
-								v = uint32(int32(c.Regs[d.rs1]) >> (c.Regs[d.rs2] & 31))
-							case fnSLT:
-								if int32(c.Regs[d.rs1]) < int32(c.Regs[d.rs2]) {
-									v = 1
-								}
-							case fnSLTU:
-								if c.Regs[d.rs1] < c.Regs[d.rs2] {
-									v = 1
-								}
-							case fnMUL:
-								v = c.Regs[d.rs1] * c.Regs[d.rs2]
-							case fnDIVU:
-								if div := c.Regs[d.rs2]; div == 0 {
-									v = 0xFFFFFFFF
-								} else {
-									v = c.Regs[d.rs1] / div
-								}
-							case fnREMU:
-								if div := c.Regs[d.rs2]; div == 0 {
-									v = c.Regs[d.rs1]
-								} else {
-									v = c.Regs[d.rs1] % div
-								}
-							case fnANDI:
-								v = c.Regs[d.rs1] & d.imm
-							case fnORI:
-								v = c.Regs[d.rs1] | d.imm
-							case fnXORI:
-								v = c.Regs[d.rs1] ^ d.imm
-							case fnSHLI:
-								v = c.Regs[d.rs1] << d.imm
-							case fnSHRI:
-								v = c.Regs[d.rs1] >> d.imm
-							case fnSRAI:
-								v = uint32(int32(c.Regs[d.rs1]) >> d.imm)
-							case fnLUI:
-								v = d.imm
-							}
-							if d.rd != 0 {
-								c.Regs[d.rd] = v
-							}
+							c.setReg(int(d.rd), alu(d.fn, c.Regs[d.rs1], c.Regs[d.rs2]+d.imm))
 						}
 						it++
 						if td.fn == fnJAL {
-							if td.rd != 0 {
-								c.Regs[td.rd] = selfTva + nops<<2
-							}
-						} else {
-							switch td.fn {
-							case fnBEQ:
-								taken = c.Regs[td.rd] == c.Regs[td.rs1]
-							case fnBNE:
-								taken = c.Regs[td.rd] != c.Regs[td.rs1]
-							case fnBLT:
-								taken = int32(c.Regs[td.rd]) < int32(c.Regs[td.rs1])
-							case fnBGE:
-								taken = int32(c.Regs[td.rd]) >= int32(c.Regs[td.rs1])
-							case fnBLTU:
-								taken = c.Regs[td.rd] < c.Regs[td.rs1]
-							case fnBGEU:
-								taken = c.Regs[td.rd] >= c.Regs[td.rs1]
-							}
-							if !taken {
-								break
-							}
+							c.setReg(int(td.rd), selfTva+nops<<2)
+						} else if taken = cond(td.fn, c.Regs[td.rd], c.Regs[td.rs1]); !taken {
+							break
 						}
 						if it == m {
 							break

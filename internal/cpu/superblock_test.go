@@ -183,6 +183,47 @@ func TestSuperblockBatchedSelfLoopHorizonCap(t *testing.T) {
 	}
 }
 
+// TestSuperblockBatchedSelfLoopEveryOp runs every straight-line ALU op in
+// a counted self-loop closed by every branch condition and by JAL, with a
+// negative accumulator and a zero, small and negative second operand, so
+// that each op and condition the batched self-loop admits runs through it
+// (the rest take the per-instruction path over the same loop).
+func TestSuperblockBatchedSelfLoopEveryOp(t *testing.T) {
+	const base = 0x1000
+	// Each closer at word 2 jumps back to base while the counter r1 climbs
+	// to the limit r2; BEQ r3,r3 and JAL loop until the tick budget.
+	closers := []uint32{
+		isa.EncodeI(isa.OpBNE, 1, 2, -3),
+		isa.EncodeI(isa.OpBLT, 1, 2, -3),
+		isa.EncodeI(isa.OpBLTU, 1, 2, -3),
+		isa.EncodeI(isa.OpBGE, 2, 1, -3),
+		isa.EncodeI(isa.OpBGEU, 2, 1, -3),
+		isa.EncodeI(isa.OpBEQ, 3, 3, -3),
+		isa.EncodeJ(isa.OpJAL, 7, -3),
+	}
+	for _, op := range chainALU {
+		w := isa.EncodeR(op, 5, 5, 6)
+		if op >= isa.OpADDI {
+			w = isa.EncodeI(op, 5, 5, -7)
+		}
+		for _, closer := range closers {
+			for _, r6 := range []uint32{0, 5, 0x80000003} {
+				slow, fast := twinCPUs(1<<20, base)
+				loadBoth(slow, fast, base, []uint32{
+					w,
+					isa.EncodeI(isa.OpADDI, 1, 1, 1),
+					closer,
+					isa.EncodeR(isa.OpHLT, 0, 0, 0),
+				})
+				for _, c := range []*CPU{slow, fast} {
+					c.Regs[2], c.Regs[5], c.Regs[6] = 40, 0x9000000F, r6
+				}
+				burstVsStep(t, slow, fast, 1<<62, 400)
+			}
+		}
+	}
+}
+
 func TestSuperblockJALInfiniteLoop(t *testing.T) {
 	// A JAL self-loop never exits by itself; only the budget stops it.
 	// The batched path must retire exactly the budgeted ticks.
@@ -363,24 +404,42 @@ func TestSuperblockChainInvalidationUnderRace(t *testing.T) {
 	wg.Wait()
 }
 
+// chainALU is every straight-line ALU op: the register forms, then the
+// immediate forms.
+var chainALU = []uint32{isa.OpADD, isa.OpSUB, isa.OpAND, isa.OpOR, isa.OpXOR,
+	isa.OpSHL, isa.OpSHR, isa.OpSRA, isa.OpSLT, isa.OpSLTU, isa.OpMUL,
+	isa.OpDIVU, isa.OpREMU,
+	isa.OpADDI, isa.OpANDI, isa.OpORI, isa.OpXORI, isa.OpSHLI, isa.OpSHRI,
+	isa.OpSRAI, isa.OpLUI}
+
+// chainBranch is every conditional branch.
+var chainBranch = []uint32{isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU}
+
 // genChainInstr draws instructions for the superblock fuzzer: the mix
 // leans branch-heavy (short backward loops chain and batch) and includes
 // stores through r14 into the code page itself (SMC and mid-block
-// invalidation) as well as ordinary scratch memory traffic.
+// invalidation) as well as ordinary scratch memory traffic. ALU ops cover
+// every straight-line op and may target r0; branches cover every
+// condition, so backward loops run the batched self-loop over all of them.
 func genChainInstr(sel, a, b byte) uint32 {
 	r1, r2 := 1+int(a)%13, 1+int(b)%13
+	hi := int(sel) / 12 // the selector's bits the case choice leaves over
 	switch sel % 12 {
 	case 0, 1, 2:
-		alu := []uint32{isa.OpADD, isa.OpSUB, isa.OpAND, isa.OpOR, isa.OpXOR, isa.OpSLT}
-		return isa.EncodeR(alu[int(a)%len(alu)], r1, r2, 1+int(sel)%13)
+		op := chainALU[hi%len(chainALU)]
+		rd := int(a) % 14 // r0 included: the write is discarded
+		if op >= isa.OpADDI {
+			return isa.EncodeI(op, rd, r2, int32(int8(b^a)))
+		}
+		return isa.EncodeR(op, rd, r2, 1+(int(a)/14)%13)
 	case 3, 4:
 		return isa.EncodeI(isa.OpADDI, r1, r2, int32(int8(b)))
 	case 5:
 		// Backward branch: a short loop over the preceding ops. The tick
 		// budget bounds infinite loops.
-		return isa.EncodeI(isa.OpBNE, r1, r2, -1-int32(a%6))
+		return isa.EncodeI(chainBranch[hi%len(chainBranch)], r1, r2, -1-int32(a%6))
 	case 6:
-		return isa.EncodeI(isa.OpBEQ, r1, r2, int32(b%8))
+		return isa.EncodeI(chainBranch[hi%len(chainBranch)], r1, r2, int32(b%8))
 	case 7:
 		return isa.EncodeJ(isa.OpJAL, 0, int32(a%4))
 	case 8:
@@ -419,7 +478,7 @@ func superblockDiffBody(t *testing.T, data []byte) {
 	loadBoth(slow, fast, progBase, words)
 
 	for r := 1; r < 14; r++ {
-		v := uint32(r) * 0x01010101
+		v := uint32(r) * 0x11111111 // r8 and up start negative
 		slow.Regs[r], fast.Regs[r] = v, v
 	}
 	slow.Regs[14], fast.Regs[14] = progBase, progBase

@@ -18,13 +18,6 @@ func (c *CPU) raise(cause, vaddr, epc uint32) uint64 {
 	return c.DeliverTrap(cause, vaddr, epc)
 }
 
-// DivertResumed reports whether the most recently raised trap was consumed
-// by the Diverter with DivertResume: the monitor fully emulated it in place
-// and the guest may continue on the predecoded fast path. The machine's run
-// loop consults it after a trapping StepFast to decide whether to fuse the
-// next burst onto the same crossing.
-func (c *CPU) DivertResumed() bool { return c.divertResumed }
-
 // DeliverTrap performs architectural trap delivery into the current vector
 // table: save PC/PSR/cause/vaddr to control registers, switch to the kernel
 // stack when coming from CPL>0, drop to CPL0 with interrupts and tracing
