@@ -187,6 +187,10 @@ type CPU struct {
 
 	// Statistics.
 	Stat Stats
+
+	// dirtyGen counts the dirty bitmap's resets (see DirtyGen). It sits
+	// last so the hot fields above keep their offsets.
+	dirtyGen uint64
 }
 
 // Stats counts notable CPU events.

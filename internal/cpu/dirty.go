@@ -17,8 +17,9 @@ import "lvmm/internal/isa"
 
 // SetDirtyTracking enables (true) or disables (false) dirty physical-
 // page accounting. Enabling allocates a fresh bitmap (all pages clean);
-// disabling releases it.
+// disabling releases it. Either starts a new generation.
 func (c *CPU) SetDirtyTracking(on bool) {
+	c.dirtyGen++
 	if !on {
 		c.dirtyPages = nil
 		return
@@ -35,12 +36,20 @@ func (c *CPU) DirtyTracking() bool { return c.dirtyPages != nil }
 // must not retain the slice across a ResetDirtyPages.
 func (c *CPU) DirtyPages() []uint64 { return c.dirtyPages }
 
-// ResetDirtyPages marks every page clean, starting a new delta window.
+// ResetDirtyPages marks every page clean, starting a new delta window
+// and a new generation.
 func (c *CPU) ResetDirtyPages() {
-	for i := range c.dirtyPages {
-		c.dirtyPages[i] = 0
-	}
+	c.dirtyGen++
+	clear(c.dirtyPages)
 }
+
+// DirtyGen returns the bitmap's generation: it changes whenever
+// ResetDirtyPages or SetDirtyTracking starts a new window. The bitmap
+// has two users — the recorder drains it at every checkpoint, the
+// replayer's undo restore relies on it covering every write since its
+// own last restore — so the replayer checks the generation before
+// trusting the bitmap.
+func (c *CPU) DirtyGen() uint64 { return c.dirtyGen }
 
 // CovShift is the write-coverage granule: one coverage bit spans a
 // 1 MB block of physical memory, so the whole map of a 64 MB machine

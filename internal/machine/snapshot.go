@@ -2,6 +2,7 @@ package machine
 
 import (
 	"encoding/binary"
+	"math/bits"
 
 	"lvmm/internal/cpu"
 	"lvmm/internal/hw/nic"
@@ -235,6 +236,50 @@ func (m *Machine) ApplyRAMDelta(s *Snapshot) {
 // pages on top of the current image, then the complete non-RAM state.
 func (m *Machine) RestoreDelta(s *Snapshot) {
 	m.ApplyRAMDelta(s)
+	m.restoreState(s)
+}
+
+// CopyPages is the page-granular ApplyRAMDelta: every page set in pages
+// (one bit per physical page, the layout of cpu.DirtyPages) that one of
+// s's RAM chunks holds gets the chunk's bytes, and its bit is cleared.
+// An undo restore calls it for each member of a checkpoint's chain,
+// newest first, so each page takes its content from the newest member
+// holding it. Chunks hold whole pages: keyframes capture 64 KB chunks
+// and deltas page runs.
+func (m *Machine) CopyPages(s *Snapshot, pages []uint64) {
+	ram := m.Bus.RAM()
+	for _, ch := range s.RAM {
+		end := min(int(ch.Addr)+len(ch.Data), len(ram))
+		for off := int(ch.Addr) &^ isa.PageMask; off < end; off += isa.PageSize {
+			p := off >> isa.PageShift
+			if pages[p>>6]&(1<<(p&63)) == 0 {
+				continue
+			}
+			pages[p>>6] &^= 1 << (p & 63)
+			lo, hi := max(off, int(ch.Addr)), min(off+isa.PageSize, end)
+			copy(ram[lo:hi], ch.Data[lo-int(ch.Addr):])
+			m.CPU.AddWriteCoverage(uint32(lo), uint32(hi-lo))
+		}
+	}
+}
+
+// RestorePages finishes an undo restore to s once CopyPages has walked
+// s's chain: the pages still set in pages were held by no member, so
+// they are zero in s's image and are cleared here, and then the complete
+// non-RAM state is restored as RestoreDelta does. Every page not set in
+// pages before the walk must already hold s's image. The coverage map
+// only grows, so it stays a superset of the written blocks.
+func (m *Machine) RestorePages(s *Snapshot, pages []uint64) {
+	ram := m.Bus.RAM()
+	for i, word := range pages {
+		for word != 0 {
+			p := i<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if lo := p << isa.PageShift; lo < len(ram) {
+				clear(ram[lo:min(lo+isa.PageSize, len(ram))])
+			}
+		}
+	}
 	m.restoreState(s)
 }
 

@@ -35,7 +35,7 @@ func streamTrapDense(t testing.TB, opts Options) []byte {
 }
 
 // lazyOpen opens raw v3 bytes as a LazyTrace with the given budget.
-func lazyOpen(t *testing.T, data []byte, budget int64) *LazyTrace {
+func lazyOpen(t testing.TB, data []byte, budget int64) *LazyTrace {
 	t.Helper()
 	lt, err := NewLazyTrace(bytes.NewReader(data), int64(len(data)), budget)
 	if err != nil {

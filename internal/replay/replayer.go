@@ -2,6 +2,7 @@ package replay
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"lvmm/internal/gdbstub"
@@ -47,6 +48,19 @@ type Replayer struct {
 
 	// Scan state (reverse-continue).
 	scanHits []uint64
+
+	// Undo-restore state (see undoable): the live machine descends from
+	// the checkpoint whose stable Index is liveBase (-1: from none) by
+	// this replayer's re-execution of the recorded timeline, the CPU's
+	// dirty-page bitmap has marked every page written since — it was
+	// reset at generation dirtyGen — and leftClock is the clock where the
+	// replayer last stopped driving the machine.
+	liveBase  int
+	dirtyGen  uint64
+	leftClock uint64
+
+	// Landings by path, counted for the package's tests.
+	jumps, undos int
 }
 
 // NewReplayer attaches a replayer to a machine built with the same
@@ -81,7 +95,7 @@ func NewReplayerSource(src *LazyTrace, m *machine.Machine, v *vmm.VMM, recv *net
 	if cp0.Delta {
 		return nil, fmt.Errorf("replay: trace's first checkpoint is a delta")
 	}
-	r := &Replayer{src: src, m: m, v: v, recv: recv}
+	r := &Replayer{src: src, m: m, v: v, recv: recv, liveBase: -1}
 	r.salvaged = src.Meta().Salvaged
 	r.endCycle, r.endInstr, _, _ = src.End()
 	r.installHooks()
@@ -197,65 +211,42 @@ func (r *Replayer) advanceCursor() int {
 }
 
 // restoreCheckpoint rewinds machine, monitor, and receiver to the
-// checkpoint at slice position i and realigns the replay cursors. A
-// delta checkpoint materializes through its base chain: full restore of
-// the keyframe, each intermediate delta's RAM pages applied in order,
-// then the target delta's pages and complete non-RAM state. The chain
-// length is bounded by the recording's KeyframeEvery, so a reverse seek
-// costs at most one full restore plus KeyframeEvery-1 page-set copies.
-// Each chain member decodes on demand (and re-faults from disk if the
-// LRU evicted it); the chain is validated here rather than at open,
-// since walking every chain up front would decode every snapshot
-// segment.
+// checkpoint at slice position i and realigns the replay cursors. It
+// takes one of two exact paths for the RAM image:
+//
+//   - Undo: when undoable says the live state descends from an earlier
+//     checkpoint of the same stretch of timeline, only the pages dirtied
+//     since are rewritten (undoRestore), so restoring the checkpoint a
+//     reverse step just re-executed from costs O(pages it dirtied).
+//   - Full: otherwise, full restore of the keyframe, each intermediate
+//     delta's RAM pages applied in order, then the target delta's pages
+//     (fullRestore). The chain length is bounded by the recording's
+//     KeyframeEvery, so this costs at most one full restore plus
+//     KeyframeEvery-1 page-set copies.
+//
+// Both restore the complete non-RAM state. Chain members decode on
+// demand (and re-fault from disk if the LRU evicted them); the chain is
+// validated as it is walked rather than at open, since walking every
+// chain up front would decode every snapshot segment.
+// TestSeekPathsMatchFullRestore and FuzzSeekScript pin the undo path to
+// the full one.
 func (r *Replayer) restoreCheckpoint(i int) error {
 	cp, err := r.src.Checkpoint(i)
 	if err != nil {
 		return err
 	}
-	if !cp.Delta {
-		r.m.Restore(cp.Machine)
+	undo := r.undoable(cp)
+	// Until the restore completes the machine descends from no
+	// checkpoint: a chain member that fails to decode leaves it half
+	// rewritten.
+	r.liveBase = -1
+	if undo {
+		err = r.undoRestore(cp)
 	} else {
-		// Chain positions, target first.
-		chain := []int{i}
-		cur := cp
-		for cur.Delta {
-			b := r.src.ByIndex(cur.Base)
-			if b < 0 {
-				return fmt.Errorf("replay: checkpoint %d's base %d is missing", cur.Index, cur.Base)
-			}
-			base, err := r.src.Checkpoint(b)
-			if err != nil {
-				return err
-			}
-			if base.Instr > cur.Instr || base == cur {
-				return fmt.Errorf("replay: checkpoint %d's base %d is not earlier on the timeline", cur.Index, cur.Base)
-			}
-			if len(chain) > r.src.NumCheckpoints() {
-				return fmt.Errorf("replay: delta checkpoint chain does not terminate")
-			}
-			chain = append(chain, b)
-			cur = base
-		}
-		// Keyframe first, then each intermediate delta's pages; members
-		// are re-materialized one at a time so a lazy source never needs
-		// the whole chain resident at once.
-		key, err := r.src.Checkpoint(chain[len(chain)-1])
-		if err != nil {
-			return err
-		}
-		r.m.Restore(key.Machine)
-		for j := len(chain) - 2; j >= 1; j-- {
-			mid, err := r.src.Checkpoint(chain[j])
-			if err != nil {
-				return err
-			}
-			r.m.ApplyRAMDelta(mid.Machine)
-		}
-		cp, err = r.src.Checkpoint(i)
-		if err != nil {
-			return err
-		}
-		r.m.RestoreDelta(cp.Machine)
+		cp, err = r.fullRestore(i, cp)
+	}
+	if err != nil {
+		return err
 	}
 	if r.v != nil && cp.VMM != nil {
 		r.v.Restore(cp.VMM)
@@ -266,7 +257,143 @@ func (r *Replayer) restoreCheckpoint(i int) error {
 	r.verifyCursor = cp.EventIndex
 	r.inputCursor = cp.EventIndex
 	r.nextInput = -1 // the cursor may have moved backwards
+
+	// The live state is cp's now; the dirty bitmap counts from here.
+	if r.m.CPU.DirtyTracking() {
+		r.m.CPU.ResetDirtyPages()
+	} else {
+		r.m.CPU.SetDirtyTracking(true)
+	}
+	r.liveBase = cp.Index
+	r.dirtyGen = r.m.CPU.DirtyGen()
+	r.leftClock = r.m.Clock()
 	return nil
+}
+
+// undoable reports whether checkpoint cp can be restored by rewriting
+// only the pages dirtied since the live state's base checkpoint. That
+// is exact when the live RAM differs from cp's only on dirty pages:
+//
+//   - the live state descends from the base by this replayer's
+//     re-execution alone — the clock is where the replayer left it, so
+//     no debugger ran the machine meanwhile — and the bitmap is still in
+//     the generation the replayer reset (a recorder attached to the same
+//     machine resets it at every checkpoint);
+//   - cp is the base itself, or lies strictly between the base and the
+//     live position, so the live run executed every write the recorded
+//     run made between the base and cp. Strictly, because one
+//     instruction count spans several moments — a checkpoint taken in an
+//     idle stretch shares its count with the instruction before it — and
+//     only a count executed past proves a moment passed.
+//
+// The base is remembered by stable Index: a live Checkpoint insert
+// shifts slice positions.
+func (r *Replayer) undoable(cp *Checkpoint) bool {
+	if r.liveBase < 0 || !r.m.CPU.DirtyTracking() ||
+		r.m.CPU.DirtyGen() != r.dirtyGen || r.m.Clock() != r.leftClock {
+		return false
+	}
+	if cp.Index == r.liveBase {
+		return true
+	}
+	b := r.src.ByIndex(r.liveBase)
+	return b >= 0 && r.src.CheckpointMeta(b).Instr < cp.Instr && cp.Instr < r.Position()
+}
+
+// undoRestore rewinds RAM to checkpoint cp's image by rewriting each
+// dirty page with its content in cp: from cp's delta chain, newest
+// member first, then its keyframe, and zero when no chunk holds the
+// page. The walk stops as soon as every dirty page has its content, so a
+// reverse step whose pages all sit in the nearby deltas never touches
+// the keyframe. The non-RAM state is restored in full.
+func (r *Replayer) undoRestore(cp *Checkpoint) error {
+	pages := slices.Clone(r.m.CPU.DirtyPages()) // still to rewrite
+	cur := cp
+	for depth := 1; ; depth++ {
+		r.m.CopyPages(cur.Machine, pages)
+		if !cur.Delta || !anySet(pages) {
+			break
+		}
+		_, base, err := r.chainBase(cur, depth)
+		if err != nil {
+			return err
+		}
+		cur = base
+	}
+	r.m.RestorePages(cp.Machine, pages)
+	r.undos++
+	return nil
+}
+
+// fullRestore rewinds RAM to checkpoint cp (slice position i) from its
+// keyframe up and restores the complete non-RAM state. It returns cp
+// re-materialized: chain members are decoded one at a time so a lazy
+// source never needs the whole chain resident at once.
+func (r *Replayer) fullRestore(i int, cp *Checkpoint) (*Checkpoint, error) {
+	if !cp.Delta {
+		r.m.Restore(cp.Machine)
+		return cp, nil
+	}
+	// Chain positions, target first.
+	chain := []int{i}
+	for cur := cp; cur.Delta; {
+		b, base, err := r.chainBase(cur, len(chain))
+		if err != nil {
+			return nil, err
+		}
+		chain = append(chain, b)
+		cur = base
+	}
+	// Keyframe first, then each intermediate delta's pages.
+	key, err := r.src.Checkpoint(chain[len(chain)-1])
+	if err != nil {
+		return nil, err
+	}
+	r.m.Restore(key.Machine)
+	for j := len(chain) - 2; j >= 1; j-- {
+		mid, err := r.src.Checkpoint(chain[j])
+		if err != nil {
+			return nil, err
+		}
+		r.m.ApplyRAMDelta(mid.Machine)
+	}
+	if cp, err = r.src.Checkpoint(i); err != nil {
+		return nil, err
+	}
+	r.m.RestoreDelta(cp.Machine)
+	return cp, nil
+}
+
+// chainBase materializes the checkpoint delta cur was taken against and
+// returns it with its slice position, checking that it exists and lies
+// earlier on the timeline; depth is how many chain members were walked
+// before cur's base, which bounds a cyclic chain.
+func (r *Replayer) chainBase(cur *Checkpoint, depth int) (int, *Checkpoint, error) {
+	b := r.src.ByIndex(cur.Base)
+	if b < 0 {
+		return 0, nil, fmt.Errorf("replay: checkpoint %d's base %d is missing", cur.Index, cur.Base)
+	}
+	base, err := r.src.Checkpoint(b)
+	if err != nil {
+		return 0, nil, err
+	}
+	if base.Instr > cur.Instr || base == cur {
+		return 0, nil, fmt.Errorf("replay: checkpoint %d's base %d is not earlier on the timeline", cur.Index, cur.Base)
+	}
+	if depth > r.src.NumCheckpoints() {
+		return 0, nil, fmt.Errorf("replay: delta checkpoint chain does not terminate")
+	}
+	return b, base, nil
+}
+
+// anySet reports whether any bit of a page bitmap is set.
+func anySet(pages []uint64) bool {
+	for _, w := range pages {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // RunToEnd replays the whole trace with verification on: external inputs
@@ -276,7 +403,10 @@ func (r *Replayer) restoreCheckpoint(i int) error {
 // digest included).
 func (r *Replayer) RunToEnd() error {
 	r.verify = true
-	defer func() { r.verify = false }()
+	defer func() {
+		r.verify = false
+		r.leftClock = r.m.Clock()
+	}()
 
 	for {
 		// Next input to re-inject, if any remains before the end.
@@ -360,10 +490,29 @@ func externallyBounded(r machine.StopReason) bool {
 // Position returns the current instruction-count position in the timeline.
 func (r *Replayer) Position() uint64 { return r.m.CPU.Stat.Instructions }
 
-// SeekInstr moves the timeline to the given instruction count: backwards
-// by restoring the nearest earlier checkpoint, then forward by pure
-// re-execution. The machine is left exactly as it was at that position in
-// the recorded run.
+// jumpMinInstr is how far ahead of the live position the nearest
+// checkpoint at or before a forward seek's target must lie for the seek
+// to restore it instead of re-executing up to it: one restore's worth of
+// re-execution. On the timetravel benchmark workload (bench/, a 2-vCPU
+// x86-64 host) a restore cost machine.snap.ms_per_restore ≈ 3.76 ms and
+// the engine cpu.ns_per_instr ≈ 20.5 ns, so one restore buys
+// 3.76 ms / 20.5 ns ≈ 183 k instructions. Re-execution also pays the
+// bus, devices and receiver, so this errs towards re-executing.
+const jumpMinInstr = 180_000
+
+// SeekInstr moves the timeline to the given instruction count by the
+// cheapest exact path, then re-executes forward to it:
+//
+//   - backwards, it restores the nearest earlier checkpoint — by undo
+//     restore when the live state came from that stretch of the timeline
+//     (see restoreCheckpoint);
+//   - forwards, it jumps, restoring the nearest checkpoint at or before
+//     the target, when that checkpoint lies more than jumpMinInstr ahead
+//     of the live position, and otherwise re-executes from where it is.
+//
+// The machine is left exactly as it was at that position in the recorded
+// run: TestSeekPathsMatchFullRestore and FuzzSeekScript compare every
+// path's landing with a full restore plus re-execution.
 func (r *Replayer) SeekInstr(target uint64) error {
 	if target < r.src.StartInstr() {
 		target = r.src.StartInstr()
@@ -371,8 +520,14 @@ func (r *Replayer) SeekInstr(target uint64) error {
 	if target > r.endInstr {
 		return fmt.Errorf("replay: position %d is beyond the end of the trace (%d)", target, r.endInstr)
 	}
-	if target < r.Position() {
-		if err := r.restoreCheckpoint(nearestCheckpointIdx(r.src, target)); err != nil {
+	cur := r.Position()
+	c := nearestCheckpointIdx(r.src, target)
+	jump := target >= cur && r.src.CheckpointMeta(c).Instr > cur+jumpMinInstr
+	if target < cur || jump {
+		if jump {
+			r.jumps++
+		}
+		if err := r.restoreCheckpoint(c); err != nil {
 			return err
 		}
 	}
@@ -383,7 +538,8 @@ func (r *Replayer) SeekInstr(target uint64) error {
 // instruction count. Debug-stop notifications are swallowed (re-executed
 // breakpoint traps must not spam the host debugger), but the stop sink
 // stays installed so guest behavior — which can depend on its presence —
-// matches the recording.
+// matches the recording. The sink and the stop-at-instruction limit are
+// put back on every exit, a failed trace read included.
 func (r *Replayer) forwardTo(target uint64) error {
 	if r.Position() > target {
 		return fmt.Errorf("replay: cannot run backwards to %d from %d", target, r.Position())
@@ -391,11 +547,10 @@ func (r *Replayer) forwardTo(target uint64) error {
 	if r.Position() == target {
 		return nil
 	}
-	var oldSink func(cause, addr uint32)
 	if r.v != nil {
-		oldSink = r.v.StopSink()
-		if oldSink != nil {
+		if oldSink := r.v.StopSink(); oldSink != nil {
 			r.v.SetStopSink(func(cause, addr uint32) {})
+			defer r.v.SetStopSink(oldSink)
 		}
 		r.v.SetFrozen(false)
 	}
@@ -404,6 +559,10 @@ func (r *Replayer) forwardTo(target uint64) error {
 		limit = c + 1
 	}
 	r.m.SetStopAtInstr(target)
+	defer func() {
+		r.m.SetStopAtInstr(0)
+		r.leftClock = r.m.Clock()
+	}()
 	var reason machine.StopReason
 	for {
 		// Re-inject recorded external input that falls inside the seek
@@ -411,22 +570,24 @@ func (r *Replayer) forwardTo(target uint64) error {
 		// state. Debug-channel bytes are the one exception: during
 		// interactive time travel a live debugger owns that UART, and
 		// replaying the recorded conversation into it would corrupt the
-		// session, so they are skipped (cursor still advances).
+		// session, so they are skipped (cursor still advances). Skipping
+		// one leaves the recorded timeline, so the live state no longer
+		// qualifies for an undo restore.
 		idx, err := r.src.NextInput(r.inputCursor)
 		if err != nil {
-			r.m.SetStopAtInstr(0)
 			return err
 		}
 		var ev Event
 		if idx >= 0 {
 			if ev, err = r.src.Event(idx); err != nil {
-				r.m.SetStopAtInstr(0)
 				return err
 			}
 		}
 		if idx >= 0 && ev.Cycle <= r.m.Clock() {
 			if ev.Chan != 0 {
 				r.m.Cons.InjectRX(ev.Data)
+			} else {
+				r.liveBase = -1
 			}
 			r.inputCursor = idx + 1
 			continue
@@ -439,10 +600,6 @@ func (r *Replayer) forwardTo(target uint64) error {
 		if reason != machine.StopLimit || runLimit == limit || r.Position() >= target {
 			break
 		}
-	}
-	r.m.SetStopAtInstr(0)
-	if r.v != nil && oldSink != nil {
-		r.v.SetStopSink(oldSink)
 	}
 	if reason != machine.StopInstrLimit && r.Position() < target {
 		return fmt.Errorf("replay: position %d unreachable (stopped early: %v at instr %d, cycle %d)",

@@ -16,7 +16,7 @@ import (
 // buildStreamLW boots a short run of the streaming guest under the
 // lightweight monitor with a validating receiver: the frame-producing
 // counterpart of buildTrapDense.
-func buildStreamLW(t *testing.T) (*machine.Machine, *vmm.VMM, *netsim.Receiver) {
+func buildStreamLW(t testing.TB) (*machine.Machine, *vmm.VMM, *netsim.Receiver) {
 	t.Helper()
 	p := guest.DefaultParams(100)
 	p.DurationTicks = 20
@@ -35,7 +35,7 @@ func buildStreamLW(t *testing.T) (*machine.Machine, *vmm.VMM, *netsim.Receiver) 
 
 // recordStreamLW records buildStreamLW's run in memory, injecting one
 // console-UART byte at each of the given cycles.
-func recordStreamLW(t *testing.T, inputAt []uint64) *Trace {
+func recordStreamLW(t testing.TB, inputAt []uint64) *Trace {
 	t.Helper()
 	m, v, recv := buildStreamLW(t)
 	rec := NewRecorder(m, v, recv, TraceMeta{Custom: true},
@@ -88,9 +88,13 @@ func TestFrameDigestDivergence(t *testing.T) {
 	cleanSrc := cleanSrcs[0]
 
 	// A frame past the first whose seek landing 1000 instructions later
-	// still restores from a checkpoint before it, so the seeks below
-	// re-execute across it (the first frame would also catch a tap that
-	// never hashes).
+	// still restores from a checkpoint before it, so every op below
+	// re-executes across it: "seek before" lands 500 instructions short
+	// of it (by re-execution from the trace start, or by a forward jump
+	// to a checkpoint before it), "seek across" re-executes on from
+	// there (1500 instructions, far below a forward jump's jumpMinInstr),
+	// and the reverse step restores that checkpoint before it. The first
+	// frame would also catch a tap that never hashes.
 	var frames []int
 	for i, ev := range clean.Events {
 		if ev.Kind == EvFrame {
@@ -142,8 +146,12 @@ func TestFrameDigestDivergence(t *testing.T) {
 			if err := op.do(rpC); err != nil {
 				t.Fatalf("%s: clean %s: %v", name, op.name, err)
 			}
+			jumps := rpT.jumps
 			if err := op.do(rpT); err != nil {
 				t.Fatalf("%s: tampered %s: %v", name, op.name, err)
+			}
+			if op.name == "seek across" && rpT.jumps != jumps {
+				t.Fatalf("%s: seek across jumped to a checkpoint instead of re-executing on", name)
 			}
 			if rpC.Position() != rpT.Position() || Digest(mC, vC) != Digest(mT, vT) ||
 				rpC.verifyCursor != rpT.verifyCursor {
@@ -189,12 +197,14 @@ func TestSeekCursorExactWithInputs(t *testing.T) {
 
 		// The reference is a verifying walk run from the trace start to
 		// the same position: each event it consumes is checked against
-		// the recording, so its cursor is proven exact.
+		// the recording, so its cursor is proven exact. It re-executes
+		// from checkpoint 0 through forwardTo, since SeekInstr would jump
+		// to a checkpoint near the target.
 		check := func(stage string) {
 			t.Helper()
 			ref, _, _ := newStreamReplayer(t, src)
 			ref.verify = true
-			err := ref.SeekInstr(rp.Position())
+			err := ref.forwardTo(rp.Position())
 			ref.verify = false
 			if err == nil {
 				err = ref.Err()
