@@ -1,209 +1,47 @@
-// Benchmarks regenerating the paper's evaluation (one benchmark per
-// figure/series) and the ablation sweeps. Run with:
+// Micro benchmarks for the few engine paths that no bench/ workload
+// isolates. The end-to-end workloads in bench/ are the performance gate
+// (an A/B against the base commit on one runner, .github/bench-ab.sh);
+// these are go test -bench diagnostics, run once each in CI so they
+// cannot bitrot:
 //
-//	go test -bench=. -benchmem
+//   - Interpreter: peak guest speed on a trap-free loop, where the
+//     superblock tier runs alone, without devices or a monitor.
+//   - InterpreterSlowPath: the same loop on the per-instruction engine
+//     that single-stepping and observed pages fall back to; the ratio
+//     to Interpreter is the predecoded tiers' speedup.
+//   - TrapRoundTripBurst: the host cost of one fused guest→monitor→guest
+//     crossing, without the device work that surrounds every trap in a
+//     streaming run.
+//   - BurstReentry: the preamble machine.Run pays to get back onto the
+//     predecoded engine, weighted by 64-cycle run slices.
+//   - ArmedObserver: an armed, never-hit breakpoint must leave the
+//     streaming guest on the burst engine at unarmed speed.
 //
-// Reported custom metrics: Mbps_achieved (the figure's x-axis value at
-// saturation), cpu_load_pct (the y-axis), and the headline ratios.
+// Run with:
+//
+//	go test -run '^$' -bench . -benchmem
 package lvmm
 
 import (
-	"bytes"
-	"io"
 	"testing"
 
 	"lvmm/internal/asm"
-	"lvmm/internal/experiment"
-	"lvmm/internal/guest"
 	"lvmm/internal/machine"
-	"lvmm/internal/perfmodel"
-	"lvmm/internal/replay"
 	"lvmm/internal/vmm"
 )
-
-// benchTicks keeps each point short enough for -bench runs while long
-// enough to pass the disk-pipeline startup transient.
-const benchTicks = 40
-
-func benchPoint(b *testing.B, pf experiment.Platform, rate float64, opts experiment.Options) {
-	b.Helper()
-	opts.DurationTicks = benchTicks
-	var last experiment.Point
-	for i := 0; i < b.N; i++ {
-		last = experiment.RunPoint(pf, opts, rate)
-		if last.Error != "" {
-			b.Fatalf("%v @ %.0f: %s", pf, rate, last.Error)
-		}
-	}
-	b.ReportMetric(last.AchievedMbps, "Mbps_achieved")
-	b.ReportMetric(last.CPULoad*100, "cpu_load_pct")
-	b.ReportMetric(last.MonitorShare*100, "monitor_pct")
-}
-
-// BenchmarkFig31 regenerates the three series of Figure 3.1, one
-// sub-benchmark per platform per representative offered rate.
-func BenchmarkFig31(b *testing.B) {
-	type pt struct {
-		name string
-		pf   experiment.Platform
-		rate float64
-	}
-	points := []pt{
-		{"RealHardware/50Mbps", experiment.BareMetal, 50},
-		{"RealHardware/200Mbps", experiment.BareMetal, 200},
-		{"RealHardware/660Mbps", experiment.BareMetal, 660},
-		{"LightweightVMM/50Mbps", experiment.LightweightVMM, 50},
-		{"LightweightVMM/150Mbps", experiment.LightweightVMM, 150},
-		{"LightweightVMM/saturated", experiment.LightweightVMM, 700},
-		{"HostedVMM/25Mbps", experiment.HostedVMM, 25},
-		{"HostedVMM/saturated", experiment.HostedVMM, 700},
-	}
-	for _, p := range points {
-		b.Run(p.name, func(b *testing.B) {
-			benchPoint(b, p.pf, p.rate, experiment.Options{})
-		})
-	}
-}
-
-// BenchmarkHeadlineRatios reproduces the paper's two headline numbers
-// (5.4× the conventional VMM; 26% of real hardware) as reported metrics.
-func BenchmarkHeadlineRatios(b *testing.B) {
-	var s experiment.Summary
-	for i := 0; i < b.N; i++ {
-		fig := experiment.RunFig31(experiment.Options{
-			Rates:         []float64{700},
-			DurationTicks: benchTicks,
-		})
-		s = fig.Summarize()
-	}
-	b.ReportMetric(s.LightweightOverHosted, "x_vs_hostedVMM(paper=5.4)")
-	b.ReportMetric(s.LightweightOverBare*100, "pct_of_bare(paper=26)")
-	b.ReportMetric(s.BareMax, "bare_max_Mbps")
-	b.ReportMetric(s.LightweightMax, "lw_max_Mbps")
-	b.ReportMetric(s.HostedMax, "hosted_max_Mbps")
-}
-
-// BenchmarkAblationCoalesce measures lightweight-VMM saturation against
-// NIC interrupt coalescing (design-choice ablation).
-func BenchmarkAblationCoalesce(b *testing.B) {
-	for _, f := range []uint32{1, 4, 16} {
-		b.Run(coalesceName(f), func(b *testing.B) {
-			benchPoint(b, experiment.LightweightVMM, 700,
-				experiment.Options{Coalesce: f})
-		})
-	}
-}
-
-func coalesceName(f uint32) string {
-	switch f {
-	case 1:
-		return "perFrame"
-	case 4:
-		return "every4"
-	default:
-		return "every16"
-	}
-}
-
-// BenchmarkAblationSwitchCost sweeps the lightweight world-switch price.
-func BenchmarkAblationSwitchCost(b *testing.B) {
-	for _, s := range []struct {
-		name  string
-		scale float64
-	}{{"half", 0.5}, {"nominal", 1}, {"double", 2}, {"quadruple", 4}} {
-		b.Run(s.name, func(b *testing.B) {
-			c := perfmodel.Lightweight()
-			c.WorldSwitchIn = uint64(float64(c.WorldSwitchIn) * s.scale)
-			c.WorldSwitchOut = uint64(float64(c.WorldSwitchOut) * s.scale)
-			benchPoint(b, experiment.LightweightVMM, 700,
-				experiment.Options{LightweightCosts: &c})
-		})
-	}
-}
-
-// BenchmarkAblationSegmentSize sweeps the UDP payload size.
-func BenchmarkAblationSegmentSize(b *testing.B) {
-	for _, sz := range []uint32{256, 512, 1024} {
-		b.Run(segName(sz), func(b *testing.B) {
-			benchPoint(b, experiment.LightweightVMM, 700,
-				experiment.Options{SegmentBytes: sz})
-		})
-	}
-}
-
-func segName(sz uint32) string {
-	switch sz {
-	case 256:
-		return "256B"
-	case 512:
-		return "512B"
-	default:
-		return "1024B"
-	}
-}
-
-// BenchmarkAblationChecksumOffload compares software vs offloaded UDP
-// checksums on bare metal (the guest-side cost the hosted VMM's feature-
-// poor virtual NIC forces).
-func BenchmarkAblationChecksumOffload(b *testing.B) {
-	run := func(b *testing.B, offload bool) {
-		var load float64
-		for i := 0; i < b.N; i++ {
-			w := WorkloadDefaults(200)
-			w.Seconds = 0.4
-			w.CsumOffload = offload
-			t, err := NewStreamingTarget(BareMetal, w)
-			if err != nil {
-				b.Fatal(err)
-			}
-			stats, err := t.Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !stats.Clean {
-				b.Fatal(stats.ValidateErr)
-			}
-			load = stats.CPULoad
-		}
-		b.ReportMetric(load*100, "cpu_load_pct")
-	}
-	b.Run("offloaded", func(b *testing.B) { run(b, true) })
-	b.Run("software", func(b *testing.B) { run(b, false) })
-}
 
 // BenchmarkInterpreter measures raw simulated-CPU speed (host-side
 // engineering metric, not a paper figure): instructions per second of a
 // tight guest loop.
-func BenchmarkInterpreter(b *testing.B) {
-	img := asm.MustAssemble(`
-        .org 0x1000
-        _start:
-            li   r1, 0
-            li   r2, 1000000
-        loop:
-            addi r1, r1, 1
-            bne  r1, r2, loop
-            hlt
-    `)
-	for i := 0; i < b.N; i++ {
-		m := machine.New(machine.Config{ResetPC: img.Entry})
-		if err := m.LoadImage(img); err != nil {
-			b.Fatal(err)
-		}
-		m.CPU.Reset(img.Entry)
-		m.Run(20_000_000)
-		if m.CPU.Regs[1] != 1000000 {
-			b.Fatalf("loop did not finish: r1=%d", m.CPU.Regs[1])
-		}
-	}
-	b.ReportMetric(float64(2000001*b.N)/b.Elapsed().Seconds(), "guest_instr/s")
-}
+func BenchmarkInterpreter(b *testing.B) { benchTightLoop(b, false) }
 
 // BenchmarkInterpreterSlowPath measures the same tight loop with the CPU's
 // force-slow knob set — timeline-neutral, disqualifying predecoded bursts
 // (cpu.BurstSafe) and forcing the per-instruction slow path. The ratio
 // to BenchmarkInterpreter is the predecoded engine's speedup.
-func BenchmarkInterpreterSlowPath(b *testing.B) {
+func BenchmarkInterpreterSlowPath(b *testing.B) { benchTightLoop(b, true) }
+
+func benchTightLoop(b *testing.B, slow bool) {
 	img := asm.MustAssemble(`
         .org 0x1000
         _start:
@@ -220,7 +58,7 @@ func BenchmarkInterpreterSlowPath(b *testing.B) {
 			b.Fatal(err)
 		}
 		m.CPU.Reset(img.Entry)
-		m.CPU.ForceSlowEngine(true)
+		m.CPU.ForceSlowEngine(slow)
 		m.Run(20_000_000)
 		if m.CPU.Regs[1] != 1000000 {
 			b.Fatalf("loop did not finish: r1=%d", m.CPU.Regs[1])
@@ -229,39 +67,12 @@ func BenchmarkInterpreterSlowPath(b *testing.B) {
 	b.ReportMetric(float64(2000001*b.N)/b.Elapsed().Seconds(), "guest_instr/s")
 }
 
-// BenchmarkTrapRoundTrip measures the simulated cost of one guest→monitor
-// →guest crossing (CLI emulation), the lightweight VMM's atomic unit.
-func BenchmarkTrapRoundTrip(b *testing.B) {
-	img := asm.MustAssemble(`
-        .org 0x1000
-        _start:
-        loop:
-            cli
-            sti
-            b loop
-    `)
-	m := machine.New(machine.Config{ResetPC: img.Entry})
-	if err := m.LoadImage(img); err != nil {
-		b.Fatal(err)
-	}
-	v := vmm.Attach(m, vmm.Config{Mode: vmm.Lightweight})
-	if err := v.Launch(img.Entry); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	start := v.Stats.Traps
-	for i := 0; i < b.N; i++ {
-		m.StepOne()
-	}
-	b.ReportMetric(float64(v.Stats.Traps-start)/float64(b.N), "traps/op")
-}
-
-// BenchmarkTrapRoundTripBurst measures the same guest→monitor→guest
-// crossing driven through machine.Run, where the fused one-crossing
-// dispatch keeps the VMM-attached guest on the predecoded burst engine
-// across monitor-handled traps (BenchmarkTrapRoundTrip single-steps and
-// so times the per-instruction engine). Each op is a fixed slice of
-// virtual time; ns/trap is the host cost of one fused crossing.
+// BenchmarkTrapRoundTripBurst measures one guest→monitor→guest crossing
+// (CLI/STI emulation, the lightweight VMM's atomic unit) driven through
+// machine.Run, where the fused one-crossing dispatch keeps the
+// VMM-attached guest on the predecoded burst engine across
+// monitor-handled traps. Each op is a fixed slice of virtual time;
+// ns/trap is the host cost of one fused crossing.
 func BenchmarkTrapRoundTripBurst(b *testing.B) {
 	img := asm.MustAssemble(`
         .org 0x1000
@@ -323,65 +134,13 @@ func BenchmarkBurstReentry(b *testing.B) {
 	b.ReportMetric(float64(s.Runs)/float64(b.N), "sb_runs/op")
 }
 
-// BenchmarkReplaySeek measures random time-travel seeks through the lazy
-// v3 reader: one streamed recording is opened through its seek index with
-// a deliberately small LRU budget, and each op seeks the replayer to a
-// pseudo-random instruction — restoring the nearest checkpoint (faulting
-// its segment back in when evicted) and running forward from there. The
-// segfaults/op metric tracks cache pressure; max_resident_bytes is the
-// cache's high-water mark — at most the budget plus one oversized
-// snapshot, since the LRU pins the entry it just decoded.
-func BenchmarkReplaySeek(b *testing.B) {
-	w := WorkloadDefaults(200)
-	w.Seconds = 0.1
-	target, err := NewStreamingTarget(Lightweight, w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	rec, err := target.RecordStream(&buf, RecordOptions{SnapshotInterval: 10_000_000})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := target.Run(); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := rec.FinishStream(); err != nil {
-		b.Fatal(err)
-	}
-	lt, err := replay.NewLazyTrace(bytes.NewReader(buf.Bytes()), int64(buf.Len()), 1<<20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rt, err := ReplaySource(lt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_, endInstr, _, _ := lt.End()
-	rng := uint64(0x9e3779b97f4a7c15) // fixed seed: identical seek sequence every run
-	b.ResetTimer()
-	startFaults := lt.Faults()
-	for i := 0; i < b.N; i++ {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		if err := rt.Replayer().SeekInstr(rng % endInstr); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(lt.Faults()-startFaults)/float64(b.N), "segfaults/op")
-	b.ReportMetric(float64(lt.MaxResidentBytes()), "max_resident_bytes")
-}
-
 // BenchmarkArmedObserver measures the page-granular arming guarantee on
 // the Fig 3.1 workload: the "armed" variant runs the standard lightweight
 // streaming guest with a hardware breakpoint planted on a page the kernel
 // never executes. Before page-granular arming, any armed breakpoint forced
 // the per-instruction interpreter and the armed variant ran several times
 // slower; now both variants must stay on the predecoded burst engine and
-// their ns/op must agree within the noise floor (≤10%). Gated by
-// cmd/benchjson -compare so a regression that knocks debugged guests off
-// the burst engine fails CI.
+// their ns/op must agree within the noise floor (≤10%).
 func BenchmarkArmedObserver(b *testing.B) {
 	run := func(b *testing.B, armed bool) {
 		var burst uint64
@@ -412,47 +171,4 @@ func BenchmarkArmedObserver(b *testing.B) {
 	}
 	b.Run("unarmed", func(b *testing.B) { run(b, false) })
 	b.Run("armed", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkAssembler measures kernel assembly speed.
-func BenchmarkAssembler(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := asm.Assemble(guest.StreamKernelSource); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRecordStream measures the streaming recorder's overhead on
-// the standard workload: one 100 ms lightweight-VMM run per op, trace
-// segments (event batches, keyframes, delta snapshots) flushing to a
-// discarding sink as the run proceeds. Compare against the Fig 3.1
-// lightweight point to read the recording tax on the hot path; the
-// trace_bytes metric tracks the on-disk cost of the v3 container.
-// Gated by cmd/benchjson -compare, so a serialization change that
-// re-inflates the recording tax fails CI instead of landing silently.
-func BenchmarkRecordStream(b *testing.B) {
-	var bytesOut int64
-	for i := 0; i < b.N; i++ {
-		w := WorkloadDefaults(100)
-		w.Seconds = 0.1
-		target, err := NewStreamingTarget(Lightweight, w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rec, err := target.RecordStream(io.Discard, RecordOptions{SnapshotInterval: 20_000_000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := target.Run(); err != nil {
-			b.Fatal(err)
-		}
-		stats, err := rec.FinishStream()
-		if err != nil {
-			b.Fatal(err)
-		}
-		bytesOut = stats.BytesWritten
-		target.Release()
-	}
-	b.ReportMetric(float64(bytesOut), "trace_bytes")
 }

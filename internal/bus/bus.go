@@ -9,6 +9,7 @@ package bus
 
 import (
 	"encoding/binary"
+	"runtime"
 	"sync"
 )
 
@@ -43,16 +44,25 @@ type portEntry struct {
 	base uint16
 }
 
-// ramPool recycles physical-memory slices across machine lifetimes.
+// ramFree recycles physical-memory slices across machine lifetimes.
 // Allocating tens of megabytes of zeroed RAM per machine is a real cost
 // for callers that build machines in a loop (the fleet runner, the
 // trace farm, benchmarks): the allocator must clear the whole reused
 // span even though a released machine knows — via the CPU's
 // write-coverage map — that only a few blocks were ever dirtied. Every
-// slice in the pool is fully zero; ReclaimRAM is the only producer and
+// slice in the list is fully zero; ReclaimRAM is the only producer and
 // its callers re-zero exactly the covered blocks before handing the
 // slice back.
-var ramPool sync.Pool
+//
+// It is one process-wide list, not a sync.Pool: a pool's Put lands in
+// the releasing P's private slot, which a Get on another P never takes,
+// and GC empties the pool, so a machine built on another P or after a
+// collection would allocate a second RAM slice. The list holds at most
+// GOMAXPROCS slices, one per machine that can run at once.
+var ramFree struct {
+	sync.Mutex
+	list [][]byte
+}
 
 // New creates a bus with ramSize bytes of RAM (all zero).
 func New(ramSize int) *Bus {
@@ -63,20 +73,32 @@ func New(ramSize int) *Bus {
 }
 
 func acquireRAM(n int) []byte {
-	if v := ramPool.Get(); v != nil {
-		if ram := v.([]byte); len(ram) == n {
-			return ram
-		}
-		// Wrong size: drop it. In practice every machine of a process
-		// uses one RAM size, so the pool is homogeneous.
+	var ram []byte
+	ramFree.Lock()
+	if k := len(ramFree.list); k > 0 {
+		ram = ramFree.list[k-1]
+		ramFree.list[k-1] = nil
+		ramFree.list = ramFree.list[:k-1]
 	}
+	ramFree.Unlock()
+	if len(ram) == n {
+		return ram
+	}
+	// None free, or the wrong size: drop it. In practice every machine
+	// of a process uses one RAM size, so the list is homogeneous.
 	return make([]byte, n)
 }
 
-// ReclaimRAM pushes a fully re-zeroed RAM slice into the pool for the
+// ReclaimRAM puts a fully re-zeroed RAM slice on the free list for the
 // next New to reuse. The caller (machine.Release) must have zeroed
 // every byte the machine ever wrote and must not touch the slice again.
-func ReclaimRAM(ram []byte) { ramPool.Put(ram) }
+func ReclaimRAM(ram []byte) {
+	ramFree.Lock()
+	if len(ramFree.list) < runtime.GOMAXPROCS(0) {
+		ramFree.list = append(ramFree.list, ram)
+	}
+	ramFree.Unlock()
+}
 
 // RAMSize returns the installed physical memory size.
 func (b *Bus) RAMSize() uint32 { return uint32(len(b.ram)) }

@@ -3,6 +3,7 @@ package machine
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -103,5 +104,48 @@ func TestReleaseRecyclesZeroRAM(t *testing.T) {
 			t.Fatalf("iter %d: fresh machine starts with coverage %#x", iter, cov)
 		}
 		m2.Release()
+	}
+}
+
+// TestReleasedRAMReusedAcrossGoroutines pins what the RAM free list is
+// for: a machine built on another goroutine after garbage collections
+// still reuses the slice a released machine gave back, zeroed. A
+// sync.Pool misses here when the two goroutines run on different Ps,
+// and loses the slice by the second GC.
+func TestReleasedRAMReusedAcrossGoroutines(t *testing.T) {
+	// Hold enough machines to empty the list, so the release below is
+	// not dropped for want of room and is the next slice handed out.
+	var held []*Machine
+	for range runtime.GOMAXPROCS(0) {
+		held = append(held, New(Config{RAMBytes: 8 << 20}))
+	}
+	defer func() {
+		for _, m := range held {
+			m.Release()
+		}
+	}()
+
+	old := dirtyMachine(t)
+	ram := &old.Bus.RAM()[0]
+	released := make(chan struct{})
+	go func() {
+		old.Release()
+		close(released)
+	}()
+	<-released
+	runtime.GC()
+	runtime.GC()
+
+	built := make(chan *Machine)
+	go func() { built <- New(Config{RAMBytes: 8 << 20}) }()
+	m := <-built
+	defer m.Release()
+	if &m.Bus.RAM()[0] != ram {
+		t.Fatal("the new machine allocated fresh RAM instead of reusing the released slice")
+	}
+	for i, b := range m.Bus.RAM() {
+		if b != 0 {
+			t.Fatalf("reused RAM[%#x] = %#x, want all zero", i, b)
+		}
 	}
 }

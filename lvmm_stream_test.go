@@ -192,3 +192,33 @@ func TestFleetRecordedTraceReplays(t *testing.T) {
 		t.Fatal("Replay accepted a custom trace it cannot reconstruct")
 	}
 }
+
+// TestAblationChecksumOffload is the checksum-offload ablation: on bare
+// metal at 200 Mb/s, computing UDP checksums in guest software (what the
+// hosted monitor's feature-poor virtual NIC forces) must cost the guest
+// strictly more CPU than offloading them to the NIC.
+func TestAblationChecksumOffload(t *testing.T) {
+	load := func(offload bool) float64 {
+		w := WorkloadDefaults(200)
+		w.Seconds = 0.4
+		w.CsumOffload = offload
+		target, err := NewStreamingTarget(BareMetal, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer target.Release()
+		stats, err := target.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !stats.Clean {
+			t.Fatalf("offload=%v: stream not clean: %s", offload, stats.ValidateErr)
+		}
+		return stats.CPULoad
+	}
+	offloaded, software := load(true), load(false)
+	if software <= offloaded {
+		t.Errorf("software checksums load the CPU %.2f%%, offloaded %.2f%%: want software strictly higher",
+			100*software, 100*offloaded)
+	}
+}
