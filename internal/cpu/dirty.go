@@ -43,6 +43,16 @@ func (c *CPU) ResetDirtyPages() {
 	clear(c.dirtyPages)
 }
 
+// MarkDirty marks the pages of the n bytes at physical address addr
+// dirty without writing them, in the current generation. The replayer
+// uses it to fold a discarded delta checkpoint's pages back into the
+// window it was cut from. A no-op when tracking is off or n == 0.
+func (c *CPU) MarkDirty(addr, n uint32) {
+	if c.dirtyPages != nil && n > 0 {
+		c.markDirty(addr, n)
+	}
+}
+
 // DirtyGen returns the bitmap's generation: it changes whenever
 // ResetDirtyPages or SetDirtyTracking starts a new window. The bitmap
 // has two users — the recorder drains it at every checkpoint, the

@@ -2,7 +2,6 @@ package replay
 
 import (
 	"encoding/binary"
-	"hash/fnv"
 
 	"lvmm/internal/cpu"
 	"lvmm/internal/hw/pic"
@@ -140,9 +139,6 @@ func Digest(m *machine.Machine, v *vmm.VMM) uint64 {
 	return h.Sum64()
 }
 
-// FrameDigest hashes a transmitted frame for the EvFrame timeline.
-func FrameDigest(frame []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(frame)
-	return h.Sum64()
-}
+// FrameDigest hashes a transmitted frame for the EvFrame timeline:
+// FNV-64a, the value hash/fnv's New64a gives, which traces record.
+func FrameDigest(frame []byte) uint64 { return fnvBytes(fnvOffset64, frame) }

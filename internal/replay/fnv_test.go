@@ -71,6 +71,29 @@ func TestFNVZeroSkipMatchesStdlib(t *testing.T) {
 	}
 }
 
+// TestFrameDigestMatchesStdlib pins FrameDigest to hash/fnv's New64a
+// on frame-sized inputs: EvFrame digests are recorded inside traces, so
+// switching their hash implementation must not change a byte.
+func TestFrameDigestMatchesStdlib(t *testing.T) {
+	x := uint64(0x2545F4914F6CDD1D)
+	for _, n := range []int{0, 1, 14, 42, 60, 64, 590, 1500, 1514, 1518, 9018} {
+		frame := make([]byte, n)
+		for i := range frame {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			frame[i] = byte(x)
+		}
+		for _, b := range [][]byte{frame, make([]byte, n)} {
+			h := fnv.New64a()
+			h.Write(b)
+			if got, want := FrameDigest(b), h.Sum64(); got != want {
+				t.Fatalf("%d-byte frame: FrameDigest %#x, hash/fnv %#x", n, got, want)
+			}
+		}
+	}
+}
+
 // TestDigestCoverageExact pins the write-coverage fast path end to end:
 // after a real recorded run, Digest — which skips every 1 MB block the
 // CPU's coverage map proves untouched — must equal the digest of the

@@ -59,8 +59,15 @@ type Replayer struct {
 	dirtyGen  uint64
 	leftClock uint64
 
-	// Landings by path, counted for the package's tests.
+	// The rung the last long landing dropped one instruction behind its
+	// target (see land): a live delta checkpoint taken against the
+	// checkpoint the landing re-executed from, or nil.
+	rung *Checkpoint
+
+	// Landings by path and instructions re-executed, counted for the
+	// package's tests.
 	jumps, undos int
+	reexec       uint64
 }
 
 // NewReplayer attaches a replayer to a machine built with the same
@@ -210,6 +217,19 @@ func (r *Replayer) advanceCursor() int {
 	return -1
 }
 
+// consumeInput moves the cursors past input event idx once it was
+// injected (or skipped). verifyCursor moves too when it rests on the
+// input, which advanceCursor would step over at the next observed event
+// anyway: a replay's cursors then depend only on its position, not on
+// how it got there, since a restore sets both to the checkpoint's
+// consumed prefix, which includes every input injected before it.
+func (r *Replayer) consumeInput(idx int) {
+	r.inputCursor = idx + 1
+	if r.verifyCursor == idx {
+		r.verifyCursor = idx + 1
+	}
+}
+
 // restoreCheckpoint rewinds machine, monitor, and receiver to the
 // checkpoint at slice position i and realigns the replay cursors. It
 // takes one of two exact paths for the RAM image:
@@ -217,12 +237,15 @@ func (r *Replayer) advanceCursor() int {
 //   - Undo: when undoable says the live state descends from an earlier
 //     checkpoint of the same stretch of timeline, only the pages dirtied
 //     since are rewritten (undoRestore), so restoring the checkpoint a
-//     reverse step just re-executed from costs O(pages it dirtied).
+//     reverse step just re-executed from costs O(pages it dirtied). A
+//     live state that descends from the rung, restoring a checkpoint at
+//     or before it, is first folded onto the rung's base (foldRung), so
+//     the checkpoint may lie between that base and the rung.
 //   - Full: otherwise, full restore of the keyframe, each intermediate
 //     delta's RAM pages applied in order, then the target delta's pages
 //     (fullRestore). The chain length is bounded by the recording's
-//     KeyframeEvery, so this costs at most one full restore plus
-//     KeyframeEvery-1 page-set copies.
+//     KeyframeEvery plus the rung, so this costs at most one full
+//     restore plus that many page-set copies.
 //
 // Both restore the complete non-RAM state. Chain members decode on
 // demand (and re-fault from disk if the LRU evicted them); the chain is
@@ -234,6 +257,9 @@ func (r *Replayer) restoreCheckpoint(i int) error {
 	cp, err := r.src.Checkpoint(i)
 	if err != nil {
 		return err
+	}
+	if r.tracked() {
+		r.foldRung(cp)
 	}
 	undo := r.undoable(cp)
 	// Until the restore completes the machine descends from no
@@ -289,8 +315,7 @@ func (r *Replayer) restoreCheckpoint(i int) error {
 // The base is remembered by stable Index: a live Checkpoint insert
 // shifts slice positions.
 func (r *Replayer) undoable(cp *Checkpoint) bool {
-	if r.liveBase < 0 || !r.m.CPU.DirtyTracking() ||
-		r.m.CPU.DirtyGen() != r.dirtyGen || r.m.Clock() != r.leftClock {
+	if !r.tracked() {
 		return false
 	}
 	if cp.Index == r.liveBase {
@@ -298,6 +323,33 @@ func (r *Replayer) undoable(cp *Checkpoint) bool {
 	}
 	b := r.src.ByIndex(r.liveBase)
 	return b >= 0 && r.src.CheckpointMeta(b).Instr < cp.Instr && cp.Instr < r.Position()
+}
+
+// tracked reports whether the live state descends from the checkpoint
+// liveBase by this replayer's re-execution alone, with every page
+// written since marked in the dirty bitmap: the clock is where the
+// replayer left it, and the bitmap is in the generation it reset.
+func (r *Replayer) tracked() bool {
+	return r.liveBase >= 0 && r.m.CPU.DirtyTracking() &&
+		r.m.CPU.DirtyGen() == r.dirtyGen && r.m.Clock() == r.leftClock
+}
+
+// foldRung moves a tracked live base off the rung onto the rung's base,
+// unless cp is the rung or lies past it (nil cp always folds). The
+// rung's pages are exactly those dirtied between its base and it, so
+// ORing them into the bitmap makes it cover every write since the base:
+// an undo restore from the base is as exact as from the rung. A restore
+// of a checkpoint before the rung thus keeps the undo path, and so does
+// a live state whose rung is discarded.
+func (r *Replayer) foldRung(cp *Checkpoint) {
+	c := r.rung
+	if c == nil || r.liveBase != c.Index || cp != nil && (cp.Index == c.Index || cp.Instr > c.Instr) {
+		return
+	}
+	for _, ch := range c.Machine.RAM {
+		r.m.CPU.MarkDirty(ch.Addr, uint32(len(ch.Data)))
+	}
+	r.liveBase = c.Base
 }
 
 // undoRestore rewinds RAM to checkpoint cp's image by rewriting each
@@ -437,7 +489,7 @@ func (r *Replayer) RunToEnd() error {
 		default:
 			r.m.Cons.InjectRX(ev.Data)
 		}
-		r.inputCursor = idx + 1
+		r.consumeInput(idx)
 	}
 
 	_, _, endReason, endDigest := r.src.End()
@@ -500,6 +552,10 @@ func (r *Replayer) Position() uint64 { return r.m.CPU.Stat.Instructions }
 // bus, devices and receiver, so this errs towards re-executing.
 const jumpMinInstr = 180_000
 
+// rungMinInstr is how long a landing's forward re-execution must be for
+// it to drop a rung behind its target (see land).
+const rungMinInstr = 16_384
+
 // SeekInstr moves the timeline to the given instruction count by the
 // cheapest exact path, then re-executes forward to it:
 //
@@ -510,9 +566,12 @@ const jumpMinInstr = 180_000
 //     the target, when that checkpoint lies more than jumpMinInstr ahead
 //     of the live position, and otherwise re-executes from where it is.
 //
-// The machine is left exactly as it was at that position in the recorded
-// run: TestSeekPathsMatchFullRestore and FuzzSeekScript compare every
-// path's landing with a full restore plus re-execution.
+// It first discards the rung the previous landing left (see land), so
+// its path depends on the recorded and user checkpoints alone, and no
+// later op gains from a rung dropped before it. The machine is left
+// exactly as it was at that position in the recorded run:
+// TestSeekPathsMatchFullRestore and FuzzSeekScript compare every path's
+// landing with a full restore plus re-execution.
 func (r *Replayer) SeekInstr(target uint64) error {
 	if target < r.src.StartInstr() {
 		target = r.src.StartInstr()
@@ -520,6 +579,7 @@ func (r *Replayer) SeekInstr(target uint64) error {
 	if target > r.endInstr {
 		return fmt.Errorf("replay: position %d is beyond the end of the trace (%d)", target, r.endInstr)
 	}
+	r.discardRung()
 	cur := r.Position()
 	c := nearestCheckpointIdx(r.src, target)
 	jump := target >= cur && r.src.CheckpointMeta(c).Instr > cur+jumpMinInstr
@@ -531,7 +591,60 @@ func (r *Replayer) SeekInstr(target uint64) error {
 			return err
 		}
 	}
+	return r.land(target)
+}
+
+// land finishes a landing by re-executing forward to target. When that
+// is further than rungMinInstr, it replaces the rung: the re-execution
+// stops one instruction short of target and drops a rung there
+// (dropRung), so the ReverseStep(1) that usually follows restores it by
+// undo restore and re-executes nothing. Only landings drop rungs: a
+// reverse-continue's window scans do not.
+func (r *Replayer) land(target uint64) error {
+	if target <= r.Position()+rungMinInstr {
+		return r.forwardTo(target)
+	}
+	r.discardRung()
+	if err := r.forwardTo(target - 1); err != nil {
+		return err
+	}
+	r.dropRung()
 	return r.forwardTo(target)
+}
+
+// dropRung inserts the rung at the live position: a live delta
+// checkpoint of the pages dirtied since the live base, taken against it,
+// which then becomes the live base with a fresh bitmap. The delta
+// restores exactly only while the bitmap covers every write since the
+// base, so nothing is dropped unless the live state is tracked.
+func (r *Replayer) dropRung() {
+	if !r.tracked() {
+		return
+	}
+	s, _ := r.m.SnapshotDelta()
+	cp := r.capture(s)
+	cp.Delta, cp.Base = true, r.liveBase
+	r.src.InsertCheckpoint(*cp)
+	r.rung = cp
+	r.m.CPU.ResetDirtyPages()
+	r.liveBase, r.dirtyGen = cp.Index, r.m.CPU.DirtyGen()
+}
+
+// discardRung removes the rung from the source. A live state that
+// descends from it is first folded onto its base (foldRung), so it keeps
+// the undo path; one that is no longer tracked descends from no
+// checkpoint, since the removed rung's id may be reused.
+func (r *Replayer) discardRung() {
+	if r.rung == nil {
+		return
+	}
+	if r.tracked() {
+		r.foldRung(nil)
+	} else {
+		r.liveBase = -1
+	}
+	r.src.RemoveCheckpoint(r.rung.Index)
+	r.rung = nil
 }
 
 // forwardTo re-executes from the current position to the target
@@ -559,9 +672,11 @@ func (r *Replayer) forwardTo(target uint64) error {
 		limit = c + 1
 	}
 	r.m.SetStopAtInstr(target)
+	from := r.Position()
 	defer func() {
 		r.m.SetStopAtInstr(0)
 		r.leftClock = r.m.Clock()
+		r.reexec += r.Position() - from
 	}()
 	var reason machine.StopReason
 	for {
@@ -589,7 +704,7 @@ func (r *Replayer) forwardTo(target uint64) error {
 			} else {
 				r.liveBase = -1
 			}
-			r.inputCursor = idx + 1
+			r.consumeInput(idx)
 			continue
 		}
 		runLimit := limit
@@ -625,7 +740,7 @@ func (r *Replayer) ReverseStep(n uint64) error {
 	if err := r.restoreCheckpoint(nearestCheckpointIdx(r.src, target)); err != nil {
 		return err
 	}
-	if err := r.forwardTo(target); err != nil {
+	if err := r.land(target); err != nil {
 		return err
 	}
 	r.freeze()
@@ -660,7 +775,7 @@ func (r *Replayer) ReverseContinue(breaks []uint32, watches []gdbstub.WatchRange
 			if err := r.restoreCheckpoint(nearestCheckpointIdx(r.src, target)); err != nil {
 				return false, err
 			}
-			if err := r.forwardTo(target); err != nil {
+			if err := r.land(target); err != nil {
 				return false, err
 			}
 			r.freeze()
@@ -736,25 +851,28 @@ func (r *Replayer) hit(pos uint64) {
 // reverse operations replay from here instead of a distant recorded
 // snapshot.
 func (r *Replayer) Checkpoint() (uint64, error) {
-	pos := r.Position()
-	// Events consumed so far: verifyCursor counts observed verification
-	// events (skipping inputs), inputCursor counts injected inputs
-	// (skipping verification events). In a faithful replay neither cursor
-	// passes an event the other still owes — a verification event only
-	// fires after every earlier-cycle input was injected, and vice versa —
-	// so the consumed prefix of the unified list is the larger of the two.
-	// Using the smaller would re-inject already-consumed input after a
-	// restore; using an index past a pending input would drop it.
-	eventIndex := r.verifyCursor
-	if r.inputCursor > eventIndex {
-		eventIndex = r.inputCursor
-	}
-	cp := Checkpoint{
-		Index:      r.src.FreshIndex(),
-		Instr:      pos,
-		Cycle:      r.m.Clock(),
-		EventIndex: eventIndex,
-		Machine:    r.m.Snapshot(),
+	r.src.InsertCheckpoint(*r.capture(r.m.Snapshot()))
+	return r.Position(), nil
+}
+
+// capture wraps machine snapshot s, taken at the live position, into a
+// checkpoint with a fresh Index and the monitor's and receiver's state.
+func (r *Replayer) capture(s *machine.Snapshot) *Checkpoint {
+	cp := &Checkpoint{
+		Index: r.src.FreshIndex(),
+		Instr: r.Position(),
+		Cycle: r.m.Clock(),
+		// Events consumed so far: verifyCursor counts observed
+		// verification events (skipping inputs), inputCursor counts
+		// injected inputs (skipping verification events). In a faithful
+		// replay neither cursor passes an event the other still owes — a
+		// verification event only fires after every earlier-cycle input
+		// was injected, and vice versa — so the consumed prefix of the
+		// unified list is the larger of the two. Using the smaller would
+		// re-inject already-consumed input after a restore; using an index
+		// past a pending input would drop it.
+		EventIndex: max(r.verifyCursor, r.inputCursor),
+		Machine:    s,
 	}
 	if r.v != nil {
 		cp.VMM = r.v.Snapshot()
@@ -763,6 +881,5 @@ func (r *Replayer) Checkpoint() (uint64, error) {
 		cp.HasRecv = true
 		cp.Recv = r.recv.State()
 	}
-	r.src.InsertCheckpoint(cp)
-	return pos, nil
+	return cp
 }

@@ -165,13 +165,24 @@ func (h *seekHarness) where() string { return strings.Join(h.trail, ", ") }
 // moments — a checkpoint taken in an idle stretch shares its count with
 // the instruction before it — so the reference starts from a checkpoint
 // at the subject's count only when it also has the subject's clock, and
-// otherwise from an earlier one, which stops on the instruction.
+// otherwise from an earlier one, which stops on the instruction. It
+// never starts from a rung, whose pages are what is under test. It also
+// checks the rung's lifecycle: the only live delta checkpoint in the
+// source is the subject's one rung.
 func (h *seekHarness) check() {
 	h.t.Helper()
+	for _, lc := range h.src.cps {
+		if lc.live != nil && lc.meta.Delta && (h.rp.rung == nil || lc.meta.Index != h.rp.rung.Index) {
+			h.t.Fatalf("%s: live delta checkpoint %d is not the replayer's rung", h.where(), lc.meta.Index)
+		}
+	}
+	if h.rp.rung != nil && h.src.ByIndex(h.rp.rung.Index) < 0 {
+		h.t.Fatalf("%s: the rung %d is not in the source", h.where(), h.rp.rung.Index)
+	}
 	pos, clock := h.rp.Position(), h.m.Clock()
 	k := nearestCheckpointIdx(h.src, pos)
 	for k > 0 {
-		if cm := h.src.CheckpointMeta(k); cm.Instr != pos || cm.Cycle == clock {
+		if cm := h.src.CheckpointMeta(k); (h.rp.rung == nil || cm.Index != h.rp.rung.Index) && (cm.Instr != pos || cm.Cycle == clock) {
 			break
 		}
 		k--

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 )
 
@@ -220,7 +221,8 @@ type CheckpointMeta struct {
 }
 
 // lazyCheckpoint is one checkpoint stub: recorded ones point at their
-// segment, live ones carry their snapshot directly.
+// segment, live ones (a user's full snapshots, a replayer's delta rungs)
+// carry their snapshot directly.
 type lazyCheckpoint struct {
 	meta CheckpointMeta
 	seg  int         // segment position; -1 for live checkpoints
@@ -483,10 +485,11 @@ func (lt *LazyTrace) FreshIndex() int {
 	return max + 1
 }
 
-// InsertCheckpoint adds a live (session-created, full) checkpoint whose
-// Index came from FreshIndex. Live checkpoints live outside the cache
+// InsertCheckpoint adds a live (session-created) checkpoint whose Index
+// came from FreshIndex: a full snapshot, or a delta against a
+// checkpoint already present. Live checkpoints live outside the cache
 // (they have no segment to re-fault from) in the stub list, sorted by
-// position.
+// position; one inserted at the position of others goes after them.
 func (lt *LazyTrace) InsertCheckpoint(cp Checkpoint) {
 	stored := cp
 	i := sort.Search(len(lt.cps), func(i int) bool {
@@ -501,6 +504,15 @@ func (lt *LazyTrace) InsertCheckpoint(cp Checkpoint) {
 			Index: cp.Index, Instr: cp.Instr, Cycle: cp.Cycle,
 			EventIndex: cp.EventIndex, Delta: cp.Delta,
 		},
+	}
+}
+
+// RemoveCheckpoint drops the live checkpoint with stable id. Recorded
+// checkpoints and unknown ids are left alone. The caller must hold no
+// other live delta taken against it.
+func (lt *LazyTrace) RemoveCheckpoint(id int) {
+	if i := lt.ByIndex(id); i >= 0 && lt.cps[i].live != nil {
+		lt.cps = slices.Delete(lt.cps, i, i+1)
 	}
 }
 
