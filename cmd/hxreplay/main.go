@@ -65,18 +65,6 @@ func usage() {
   hxreplay salvage FILE [-o OUT]`)
 }
 
-func parsePlatform(s string) (lvmm.Platform, error) {
-	switch s {
-	case "bare", "baremetal":
-		return lvmm.BareMetal, nil
-	case "lightweight", "lvmm":
-		return lvmm.Lightweight, nil
-	case "hosted", "full":
-		return lvmm.HostedFull, nil
-	}
-	return 0, fmt.Errorf("unknown platform %q (bare, lightweight, hosted)", s)
-}
-
 func cmdRecord(args []string) error {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
 	out := fs.String("o", "run.trc", "output trace file")
@@ -87,7 +75,7 @@ func cmdRecord(args []string) error {
 	keyframeEvery := fs.Int("keyframe-every", 0, "full keyframe every N snapshots, deltas between (0 = default, 1 = no deltas)")
 	fs.Parse(args)
 
-	p, err := parsePlatform(*platform)
+	p, err := lvmm.ParsePlatform(*platform)
 	if err != nil {
 		return err
 	}

@@ -24,14 +24,12 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:4444", "debug channel listen address")
 	flag.Parse()
 
-	var pf lvmm.Platform
-	switch *platform {
-	case "lightweight":
-		pf = lvmm.Lightweight
-	case "hosted":
-		pf = lvmm.HostedFull
-	default:
-		fmt.Fprintln(os.Stderr, "lvmm-target: platform must be lightweight or hosted (bare metal has no monitor stub)")
+	pf, err := lvmm.ParsePlatform(*platform)
+	if err == nil && pf == lvmm.BareMetal {
+		err = fmt.Errorf("platform must be lightweight or hosted (bare metal has no monitor stub)")
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lvmm-target:", err)
 		os.Exit(2)
 	}
 

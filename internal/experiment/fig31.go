@@ -16,25 +16,21 @@ import (
 	"lvmm/internal/perfmodel"
 )
 
-// Platform identifies one of the three evaluated systems.
-type Platform int
+// Platform identifies one of the three evaluated systems: a fleet
+// platform, so a sweep point is a fleet scenario as it stands.
+type Platform = fleet.Platform
 
 const (
-	BareMetal Platform = iota
-	LightweightVMM
-	HostedVMM
+	BareMetal      = fleet.Bare
+	LightweightVMM = fleet.Lightweight
+	HostedVMM      = fleet.Hosted
 )
 
-func (p Platform) String() string {
-	switch p {
-	case BareMetal:
-		return "real hardware"
-	case LightweightVMM:
-		return "LW virtual machine monitor"
-	case HostedVMM:
-		return "hosted VMM (VMware-4 stand-in)"
-	}
-	return "unknown"
+// paperLabel names each platform as the paper's figure does.
+var paperLabel = map[Platform]string{
+	BareMetal:      "real hardware",
+	LightweightVMM: "LW virtual machine monitor",
+	HostedVMM:      "hosted VMM (VMware-4 stand-in)",
 }
 
 // Point is one measurement: a platform at one offered rate.
@@ -82,7 +78,7 @@ var StandardRates = []float64{10, 25, 50, 75, 100, 150, 200, 300, 400, 500, 600,
 // scheduler dispatches and the format sweep matrices are written in.
 func Scenario(pf Platform, opts Options, rateMbps float64) fleet.Scenario {
 	sc := fleet.Scenario{
-		Platform:      fleetPlatform(pf),
+		Platform:      pf,
 		RateMbps:      rateMbps,
 		DurationTicks: opts.DurationTicks,
 		SegmentBytes:  opts.SegmentBytes,
@@ -96,16 +92,6 @@ func Scenario(pf Platform, opts Options, rateMbps float64) fleet.Scenario {
 	}
 	sc.Name = fleet.ScenarioName(sc)
 	return sc
-}
-
-func fleetPlatform(pf Platform) fleet.Platform {
-	switch pf {
-	case BareMetal:
-		return fleet.Bare
-	case HostedVMM:
-		return fleet.Hosted
-	}
-	return fleet.Lightweight
 }
 
 // pointFrom distills a fleet result into the figure's Point, preserving
@@ -258,7 +244,7 @@ func (f *Fig31) CSV() string {
 	for _, pf := range []Platform{BareMetal, LightweightVMM, HostedVMM} {
 		for _, p := range f.Points[pf] {
 			fmt.Fprintf(&b, "%q,%.1f,%.2f,%.4f,%.4f,%d,%v\n",
-				pf.String(), p.OfferedMbps, p.AchievedMbps, p.CPULoad, p.MonitorShare, p.Segments, p.Clean)
+				paperLabel[pf], p.OfferedMbps, p.AchievedMbps, p.CPULoad, p.MonitorShare, p.Segments, p.Clean)
 		}
 	}
 	return b.String()

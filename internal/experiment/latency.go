@@ -9,9 +9,7 @@ import (
 	"lvmm/internal/guest"
 	"lvmm/internal/isa"
 	"lvmm/internal/machine"
-	"lvmm/internal/netsim"
 	"lvmm/internal/rsp"
-	"lvmm/internal/vmm"
 )
 
 // Debug-responsiveness experiment (ours; quantifies the paper's §1 claim
@@ -34,17 +32,12 @@ type LatencyPoint struct {
 func MeasureDebugLatency(rateMbps float64, ticks uint32) LatencyPoint {
 	params := guest.DefaultParams(rateMbps)
 	params.DurationTicks = ticks
-	recv := netsim.NewReceiver()
-	m := machine.NewStreaming(params.BlockBytes, recv, guest.KernelBase)
-	entry, err := guest.Prepare(m, params)
+	sys, err := fleet.Boot(fleet.Lightweight, params, 0, nil, nil)
 	if err != nil {
 		return LatencyPoint{OfferedMbps: rateMbps, Err: err.Error()}
 	}
-	v := vmm.Attach(m, vmm.Config{Mode: vmm.Lightweight})
-	stub := v.EnableDebugStub()
-	if err := v.Launch(entry); err != nil {
-		return LatencyPoint{OfferedMbps: rateMbps, Err: err.Error()}
-	}
+	m, v := sys.M, sys.Mon
+	v.EnableDebugStub()
 
 	var reply []byte
 	m.Dbg.SetTX(func(b byte) { reply = append(reply, b) })
@@ -86,7 +79,6 @@ func MeasureDebugLatency(rateMbps float64, ticks uint32) LatencyPoint {
 		m.Run(m.Clock() + 10_000)
 	}
 	regsCycles := m.Clock() - t1
-	_ = stub
 
 	return LatencyPoint{
 		OfferedMbps: rateMbps,

@@ -21,10 +21,6 @@ type SweepTable struct {
 	Extra int
 }
 
-// platformOrder fixes the display order of known platforms; unknown ones
-// follow alphabetically.
-var platformOrder = map[Platform]int{Bare: 0, Lightweight: 1, Hosted: 2}
-
 // Aggregate merges results into a sweep table.
 func Aggregate(results []Result) *SweepTable {
 	t := &SweepTable{Cells: map[Platform][]*Result{}}
@@ -60,13 +56,14 @@ func Aggregate(results []Result) *SweepTable {
 		}
 	}
 	sort.Slice(t.Platforms, func(i, j int) bool {
-		oi, iOK := platformOrder[t.Platforms[i]]
-		oj, jOK := platformOrder[t.Platforms[j]]
-		if iOK && jOK {
+		// Known platforms keep their table order; unknown ones follow
+		// alphabetically.
+		oi, oj := t.Platforms[i].Index(), t.Platforms[j].Index()
+		if oi >= 0 && oj >= 0 {
 			return oi < oj
 		}
-		if iOK != jOK {
-			return iOK
+		if (oi >= 0) != (oj >= 0) {
+			return oi >= 0
 		}
 		return t.Platforms[i] < t.Platforms[j]
 	})

@@ -23,9 +23,7 @@ import (
 
 	"lvmm/internal/fault"
 	"lvmm/internal/guest"
-	"lvmm/internal/isa"
 	"lvmm/internal/machine"
-	"lvmm/internal/netsim"
 	"lvmm/internal/perfmodel"
 	"lvmm/internal/replay"
 	"lvmm/internal/vmm"
@@ -81,8 +79,8 @@ type Scenario struct {
 	// content-independent, so the seed varies the streamed bytes without
 	// moving any simulated metric.
 	Seed uint64 `json:"seed,omitempty"`
-	// MaxCycles is the run's cycle limit (0 = derived from the workload
-	// duration, with the same settle margin the figure sweeps use).
+	// MaxCycles is the run's cycle limit (0 = RunLimit of the workload:
+	// its duration plus the settle margin every streaming run gets).
 	MaxCycles uint64 `json:"max_cycles,omitempty"`
 	// StopAtInstr stops the run once the CPU retires this many
 	// instructions (0 = disabled).
@@ -169,19 +167,6 @@ type Result struct {
 	TraceBytes int64  `json:"trace_bytes,omitempty"`
 }
 
-// platformIndex maps a fleet platform onto the lvmm.Platform value trace
-// metadata records (fleet cannot import the root package: the experiment
-// layer sits between them).
-func platformIndex(pf Platform) int {
-	switch pf {
-	case Bare:
-		return 0
-	case Hosted:
-		return 2
-	}
-	return 1 // Lightweight, the default
-}
-
 // RunOne executes a single scenario on a private machine and returns its
 // result. Cancelling ctx stops the machine through the thread-safe
 // RequestStop path; the result then reports StopReason "stop requested".
@@ -210,51 +195,12 @@ func RunOne(ctx context.Context, sc Scenario) Result {
 	if sc.Coalesce != 0 {
 		params.Coalesce = sc.Coalesce
 	}
-	if pf == Hosted {
-		// The hosted VMM's era-accurate virtual NIC offers neither
-		// checksum offload nor interrupt coalescing; the guest's driver
-		// discovers that and falls back (same binary, different device
-		// capabilities — exactly as with VMware's vlance).
-		params.CsumOffload = false
-		params.Coalesce = 1
-	}
-
-	recv := netsim.NewReceiver()
-	m := machine.NewStreamingSeeded(params.BlockBytes, recv, guest.KernelBase, sc.Seed)
-	entry, err := guest.Prepare(m, params)
+	sys, err := Boot(pf, params, sc.Seed, sc.Fault, sc.Costs)
 	if err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	if !sc.Fault.Empty() {
-		if err := sc.Fault.Validate(); err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		m.InstallFaults(sc.Fault)
-	}
-
-	var mon *vmm.VMM
-	switch pf {
-	case Bare:
-		m.CPU.Reset(entry)
-	case Lightweight, Hosted:
-		cfg := vmm.Config{Mode: vmm.Lightweight}
-		if pf == Hosted {
-			cfg.Mode = vmm.Hosted
-		}
-		if sc.Costs != nil {
-			cfg.Costs = *sc.Costs
-		}
-		mon = vmm.Attach(m, cfg)
-		if err := mon.Launch(entry); err != nil {
-			res.Err = err.Error()
-			return res
-		}
-	default:
-		res.Err = fmt.Sprintf("fleet: unknown platform %q", sc.Platform)
-		return res
-	}
+	m := sys.M
 
 	switch sc.Engine {
 	case "", EngineAuto:
@@ -270,7 +216,7 @@ func RunOne(ctx context.Context, sc Scenario) Result {
 	}
 	limit := sc.MaxCycles
 	if limit == 0 {
-		limit = uint64(params.DurationTicks+400) * isa.ClockHz / uint64(params.TickHz)
+		limit = RunLimit(sys.Params)
 	}
 
 	// Streamed trace recording: segments flush to the file as the run
@@ -279,26 +225,18 @@ func RunOne(ctx context.Context, sc Scenario) Result {
 	var rec *replay.Recorder
 	var recFile *os.File
 	if sc.Record != "" {
-		meta := replay.TraceMeta{
-			Platform: platformIndex(pf),
-			Params:   params,
-			Seed:     sc.Seed,
-			Label:    sc.Name,
-			// A Costs override changes the simulated timeline but has no
-			// slot in trace metadata; the replay side could not rebuild
-			// the machine, so the trace is marked custom.
-			Custom: sc.Costs != nil,
-		}
-		if !sc.Fault.Empty() {
-			meta.Fault = sc.Fault
-		}
-		var err error
+		meta := sys.TraceMeta()
+		meta.Label = sc.Name
+		// A Costs override changes the simulated timeline but has no
+		// slot in trace metadata; the replay side could not rebuild the
+		// machine, so the trace is marked custom.
+		meta.Custom = sc.Costs != nil
 		recFile, err = createWithRetry(sc.Record)
 		if err != nil {
 			res.Err = err.Error()
 			return res
 		}
-		rec, err = replay.NewStreamRecorder(recFile, m, mon, recv, meta,
+		rec, err = replay.NewStreamRecorder(recFile, m, sys.Mon, sys.Recv, meta,
 			replay.Options{SnapshotInterval: sc.RecordSnapInterval})
 		if err != nil {
 			recFile.Close()
@@ -358,26 +296,7 @@ func RunOne(ctx context.Context, sc Scenario) Result {
 		res.TimedOut = true
 		res.StopReason = "timed_out"
 	}
-	res.FaultsInjected = m.FaultsInjected()
-	res.PC = m.CPU.PC
-	res.ExitCode = m.ExitCode()
-	res.Clock = m.Clock()
-	res.IdleCycles = m.IdleCycles()
-	res.MonitorCycles = m.MonitorCycles()
-	res.CPULoad = m.CPULoad()
-	if b := m.BusyCycles(); b > 0 {
-		res.MonitorShare = float64(m.MonitorCycles()) / float64(b)
-	}
-	res.AchievedMbps = recv.RateMbps(m.Clock())
-	res.Frames = recv.Frames
-	res.PayloadBytes = recv.PayloadBytes
-	res.Clean = recv.Clean()
-	res.NetError = recv.LastError()
-	res.Guest = guest.ReadResults(m)
-	if mon != nil {
-		stats := mon.Stats
-		res.VMM = &stats
-	}
+	sys.ReadOutcome(&res)
 	// Everything the result needs has been copied out; recycle the
 	// machine's RAM so the worker's next scenario skips a multi-MB
 	// allocate-and-clear.

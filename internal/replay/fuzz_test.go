@@ -10,7 +10,7 @@ import (
 // fuzzSeeds builds the shared seed corpus for the trace-reader fuzzers:
 // a real streamed v3 container (with deltas), the v2 golden fixture,
 // header-only stubs, and truncated/corrupted variants of the valid
-// container. The fuzzer mutates from these, so every structural layer —
+// container (one with only a keyframe's gzip CRC damaged). The fuzzer mutates from these, so every structural layer —
 // magic, trailer, seek index, segment framing, gzip, gob — starts from
 // an input that actually parses.
 func fuzzSeeds(f *testing.F) [][]byte {
@@ -23,6 +23,8 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	corrupt := append([]byte(nil), v3...)
 	corrupt[len(corrupt)/2] ^= 0xFF
 
+	badCRC, _ := corruptKeyframeCRC(f, v3)
+
 	noTrailer := append([]byte(nil), v3...)
 	copy(noTrailer[len(noTrailer)-16:], make([]byte, 16))
 
@@ -30,6 +32,7 @@ func fuzzSeeds(f *testing.F) [][]byte {
 		v3,
 		v2,
 		corrupt,
+		badCRC,
 		noTrailer,
 		v3[:len(v3)/2],
 		v3[:24],

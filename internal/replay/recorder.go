@@ -30,8 +30,6 @@ type Options struct {
 	// DefaultEventBatch. It is the recorder's resident-memory unit: the
 	// streaming recorder never holds more than one batch of events.
 	EventBatch int
-	// Label annotates the trace.
-	Label string
 }
 
 // DefaultSnapshotInterval is ~79 ms of virtual time at 1.26 GHz.
@@ -148,9 +146,6 @@ func NewStreamRecorder(w io.Writer, m *machine.Machine, v *vmm.VMM, recv *netsim
 		opts.EventBatch = DefaultEventBatch
 	}
 	meta.Version = TraceVersion
-	if meta.Label == "" {
-		meta.Label = opts.Label
-	}
 	sw, err := newSegWriter(w)
 	if err != nil {
 		return nil, err

@@ -1,10 +1,7 @@
 package replay
 
 import (
-	"bytes"
-	"compress/gzip"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"os"
@@ -85,13 +82,6 @@ type rawSeg struct {
 	deco segDeco
 }
 
-// cpLite is the slice of checkpoint state the chain validator needs.
-type cpLite struct {
-	Index, Base int
-	Delta       bool
-	Instr       uint64
-}
-
 // scanState is the result of scanning a v3 stream segment by segment,
 // keeping everything intact before the first damage.
 type scanState struct {
@@ -116,30 +106,6 @@ type scanState struct {
 func (st *scanState) stop(off int64, format string, args ...any) {
 	st.truncAt = off
 	st.damage = fmt.Sprintf(format, args...)
-}
-
-// decodeStrict decodes one segment body and then drains the gzip stream
-// to EOF so its CRC is verified. The regular reader can stop at the gob
-// value's end, but salvage must not carry a segment whose tail bytes
-// were corrupted after the decodable prefix — that segment is damage,
-// not data.
-func decodeStrict(body []byte, out any) error {
-	zr, err := gzip.NewReader(bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer zr.Close()
-	lr := &io.LimitedReader{R: zr, N: maxSegmentDecoded + 1}
-	if err := gob.NewDecoder(lr).Decode(out); err != nil {
-		return err
-	}
-	if _, err := io.Copy(io.Discard, lr); err != nil {
-		return err
-	}
-	if lr.N <= 0 {
-		return fmt.Errorf("replay: segment decodes past the %d-byte bound", int64(maxSegmentDecoded))
-	}
-	return zr.Close()
 }
 
 // scanV3 reads a v3 container sequentially, validating each segment and
@@ -184,14 +150,14 @@ func scanV3(r io.Reader) (*scanState, error) {
 				st.stop(off, "duplicate meta segment")
 				return st, nil
 			}
-			if err := decodeStrict(body, &st.meta); err != nil {
+			if err := decodeSegment(body, &st.meta); err != nil {
 				st.stop(off, "corrupt meta segment (%v)", err)
 				return st, nil
 			}
 			st.hasMeta = true
 		case segEvents:
 			var batch []Event
-			if err := decodeStrict(body, &batch); err != nil {
+			if err := decodeSegment(body, &batch); err != nil {
 				st.stop(off, "corrupt event batch (%v)", err)
 				return st, nil
 			}
@@ -209,7 +175,7 @@ func scanV3(r io.Reader) (*scanState, error) {
 			}
 		case segKeyframe, segDelta:
 			var cp Checkpoint
-			if err := decodeStrict(body, &cp); err != nil {
+			if err := decodeSegment(body, &cp); err != nil {
 				st.stop(off, "corrupt %s segment (%v)", segKindName(kind), err)
 				return st, nil
 			}
@@ -231,14 +197,14 @@ func scanV3(r io.Reader) (*scanState, error) {
 				return st, nil
 			}
 			var end traceEnd
-			if err := decodeStrict(body, &end); err != nil {
+			if err := decodeSegment(body, &end); err != nil {
 				st.stop(off, "corrupt end segment (%v)", err)
 				return st, nil
 			}
 			st.end = &end
 		case segIndex:
 			var idx []SegmentInfo
-			if err := decodeStrict(body, &idx); err != nil {
+			if err := decodeSegment(body, &idx); err != nil {
 				st.stop(off, "corrupt index segment (%v)", err)
 				return st, nil
 			}
@@ -269,40 +235,6 @@ func scanV3(r io.Reader) (*scanState, error) {
 	}
 }
 
-// validateLiteChains is validateChains over the scanner's lightweight
-// checkpoint records: every delta's base chain must resolve strictly
-// backwards and terminate in a keyframe. A prefix of a well-formed
-// trace always passes; only content corruption that survived the
-// per-segment checks can trip it.
-func validateLiteChains(cps []cpLite) error {
-	byIdx := make(map[int]int, len(cps))
-	for i, cp := range cps {
-		if _, dup := byIdx[cp.Index]; dup {
-			return fmt.Errorf("replay: salvage: duplicate checkpoint index %d", cp.Index)
-		}
-		byIdx[cp.Index] = i
-	}
-	for _, cp := range cps {
-		seen := 0
-		cur := cp
-		for cur.Delta {
-			b, ok := byIdx[cur.Base]
-			if !ok {
-				return fmt.Errorf("replay: salvage: checkpoint %d's base %d is missing", cur.Index, cur.Base)
-			}
-			base := cps[b]
-			if base.Instr > cur.Instr || base.Index == cur.Index {
-				return fmt.Errorf("replay: salvage: checkpoint %d's base %d is not earlier on the timeline", cur.Index, cur.Base)
-			}
-			cur = base
-			if seen++; seen > len(cps) {
-				return fmt.Errorf("replay: salvage: delta checkpoint chain does not terminate")
-			}
-		}
-	}
-	return nil
-}
-
 // SalvageTrace scans a damaged v3 container from r and writes the
 // recovered prefix to w as a fresh well-formed container. It fails —
 // without writing anything — when the stream is not a v3 trace, when no
@@ -331,8 +263,8 @@ func SalvageTrace(r io.Reader, w io.Writer) (SalvageStats, error) {
 	if st.cps[0].Delta {
 		return stats, fmt.Errorf("replay: salvage: first surviving checkpoint is a delta, not a keyframe")
 	}
-	if err := validateLiteChains(st.cps); err != nil {
-		return stats, err
+	if err := checkChains(st.cps); err != nil {
+		return stats, fmt.Errorf("replay: salvage: %w", err)
 	}
 
 	meta := st.meta

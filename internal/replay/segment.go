@@ -276,9 +276,12 @@ func encodeSegment(payload any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeSegment decodes a blob produced by encodeSegment. The
-// decompressed size is capped at maxSegmentDecoded so a crafted tiny
-// segment cannot expand into gigabytes inside the gob decoder.
+// decodeSegment decodes a blob produced by encodeSegment, then drains
+// the gzip stream to EOF so its CRC and size trailer are verified: a
+// segment whose tail bytes were corrupted after the decodable prefix is
+// damage, not data. The decompressed size is capped at
+// maxSegmentDecoded so a crafted tiny segment cannot expand into
+// gigabytes inside the gob decoder.
 func decodeSegment(body []byte, out any) error {
 	zr, err := gzip.NewReader(bytes.NewReader(body))
 	if err != nil {
@@ -286,16 +289,14 @@ func decodeSegment(body []byte, out any) error {
 	}
 	defer zr.Close()
 	lr := &io.LimitedReader{R: zr, N: maxSegmentDecoded + 1}
-	if err := gob.NewDecoder(lr).Decode(out); err != nil {
-		if lr.N <= 0 {
-			return fmt.Errorf("replay: segment decodes past the %d-byte bound", int64(maxSegmentDecoded))
-		}
-		return err
+	err = gob.NewDecoder(lr).Decode(out)
+	if err == nil {
+		_, err = io.Copy(io.Discard, lr)
 	}
 	if lr.N <= 0 {
 		return fmt.Errorf("replay: segment decodes past the %d-byte bound", int64(maxSegmentDecoded))
 	}
-	return nil
+	return err
 }
 
 // readBody reads n payload bytes in bounded chunks, so a lying segment

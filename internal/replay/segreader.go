@@ -59,6 +59,10 @@ func NewSegmentReader(r io.ReaderAt, size int64) (*SegmentReader, error) {
 	sr.segs = idx
 
 	sawMeta, sawEnd := false, false
+	// Checkpoint ids must be unique: a delta names its base by id, so a
+	// duplicate would let a seek (which does not verify) restore onto
+	// the wrong base. The check reads the index alone.
+	cpIDs := make(map[int]bool)
 	// The writer lays segments down back to back, so a trustworthy index
 	// is strictly increasing and non-overlapping. Enforcing that here
 	// does double duty: it pins the timeline-order assumption the lazy
@@ -91,6 +95,11 @@ func NewSegmentReader(r io.ReaderAt, size int64) (*SegmentReader, error) {
 				return nil, fmt.Errorf("replay: decoding end segment: %w", err)
 			}
 			sawEnd = true
+		case segKeyframe, segDelta:
+			if cpIDs[si.Checkpoint] {
+				return nil, fmt.Errorf("replay: index lists checkpoint #%d twice", si.Checkpoint)
+			}
+			cpIDs[si.Checkpoint] = true
 		}
 	}
 	if !sawMeta {

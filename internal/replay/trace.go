@@ -195,37 +195,57 @@ func (t *Trace) StartInstr() uint64 {
 	return t.Checkpoints[0].Instr
 }
 
-// byIndex returns the slice position of the checkpoint with the given
-// stable Index, or -1.
-func (t *Trace) byIndex(id int) int {
-	for i := range t.Checkpoints {
-		if t.Checkpoints[i].Index == id {
-			return i
-		}
-	}
-	return -1
+// cpLite is the slice of checkpoint state the chain validator needs.
+type cpLite struct {
+	Index, Base int
+	Delta       bool
+	Instr       uint64
 }
 
-// validateChains checks that every delta checkpoint's base chain
-// resolves and terminates in a keyframe, so a restore cannot walk off
-// the trace at seek time.
-func (t *Trace) validateChains() error {
-	for i := range t.Checkpoints {
-		cp := &t.Checkpoints[i]
+// checkChains is the one checkpoint-chain validator: ids are unique, and
+// every delta's base chain resolves strictly backwards on the timeline
+// and terminates in a keyframe, so a restore can neither walk off the
+// trace nor resolve a base to the wrong checkpoint at seek time.
+// Resident traces run it over all their checkpoints, salvage over the
+// ones its scan kept.
+func checkChains(cps []cpLite) error {
+	byIdx := make(map[int]int, len(cps))
+	for i, cp := range cps {
+		if _, dup := byIdx[cp.Index]; dup {
+			return fmt.Errorf("duplicate checkpoint index %d", cp.Index)
+		}
+		byIdx[cp.Index] = i
+	}
+	for _, cp := range cps {
 		seen := 0
-		for cp.Delta {
-			b := t.byIndex(cp.Base)
-			if b < 0 {
-				return fmt.Errorf("replay: checkpoint %d's base %d is missing", cp.Index, cp.Base)
+		cur := cp
+		for cur.Delta {
+			b, ok := byIdx[cur.Base]
+			if !ok {
+				return fmt.Errorf("checkpoint %d's base %d is missing", cur.Index, cur.Base)
 			}
-			if t.Checkpoints[b].Instr > cp.Instr || &t.Checkpoints[b] == cp {
-				return fmt.Errorf("replay: checkpoint %d's base %d is not earlier on the timeline", cp.Index, cp.Base)
+			base := cps[b]
+			if base.Instr > cur.Instr || base.Index == cur.Index {
+				return fmt.Errorf("checkpoint %d's base %d is not earlier on the timeline", cur.Index, cur.Base)
 			}
-			cp = &t.Checkpoints[b]
-			if seen++; seen > len(t.Checkpoints) {
-				return fmt.Errorf("replay: delta checkpoint chain does not terminate")
+			cur = base
+			if seen++; seen > len(cps) {
+				return fmt.Errorf("delta checkpoint chain does not terminate")
 			}
 		}
+	}
+	return nil
+}
+
+// validateChains runs checkChains over the trace's checkpoints.
+func (t *Trace) validateChains() error {
+	cps := make([]cpLite, len(t.Checkpoints))
+	for i := range t.Checkpoints {
+		cp := &t.Checkpoints[i]
+		cps[i] = cpLite{Index: cp.Index, Base: cp.Base, Delta: cp.Delta, Instr: cp.Instr}
+	}
+	if err := checkChains(cps); err != nil {
+		return fmt.Errorf("replay: %w", err)
 	}
 	return nil
 }

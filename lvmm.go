@@ -27,6 +27,7 @@ import (
 	"lvmm/internal/debugger"
 	"lvmm/internal/experiment"
 	"lvmm/internal/fault"
+	"lvmm/internal/fleet"
 	"lvmm/internal/gdbstub"
 	"lvmm/internal/guest"
 	"lvmm/internal/isa"
@@ -37,6 +38,8 @@ import (
 )
 
 // Platform selects how the guest OS runs — the three systems of Fig 3.1.
+// Its values are the trace-metadata integers of fleet's platform table
+// (fleet.PlatformAt).
 type Platform int
 
 const (
@@ -120,14 +123,8 @@ func (w Workload) params() guest.Params {
 // Target is a booted guest on one of the three platforms.
 type Target struct {
 	platform Platform
-	m        *machine.Machine
-	mon      *vmm.VMM
+	sys      *fleet.System
 	stub     *gdbstub.Stub
-	recv     *netsim.Receiver
-	params   guest.Params
-	seed     uint64
-	plan     *fault.Plan
-	entry    uint32
 }
 
 // FaultPlan re-exports fault.Plan: a deterministic fault-injection
@@ -141,12 +138,7 @@ type FaultPlan = fault.Plan
 // and boots it on the chosen platform with the debug stub attached where
 // the platform provides one (both VMM flavours).
 func NewStreamingTarget(p Platform, w Workload) (*Target, error) {
-	params := w.params()
-	if p == HostedFull {
-		params.CsumOffload = false
-		params.Coalesce = 1
-	}
-	return newStreamingTarget(p, params, 0, nil)
+	return NewStreamingTargetFaulty(p, w, nil)
 }
 
 // NewStreamingTargetFaulty is NewStreamingTarget with a fault plan
@@ -155,66 +147,51 @@ func NewStreamingTarget(p Platform, w Workload) (*Target, error) {
 // metadata of any recording made from the target. A nil or empty plan
 // is identical to NewStreamingTarget.
 func NewStreamingTargetFaulty(p Platform, w Workload, plan *FaultPlan) (*Target, error) {
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	params := w.params()
-	if p == HostedFull {
-		params.CsumOffload = false
-		params.Coalesce = 1
-	}
-	return newStreamingTarget(p, params, 0, plan)
+	return newStreamingTarget(p, w.params(), 0, plan)
 }
 
-// newStreamingTarget builds a streaming target from fully resolved guest
-// parameters, a volume content seed, and an optional fault plan. Replay
-// uses it to reconstruct the recorded machine from a trace's metadata,
-// so construction must be a pure function of (p, params, seed, plan).
+// ParsePlatform resolves a command-line platform name (bare, lightweight,
+// hosted, or an alias; see fleet.ParsePlatform).
+func ParsePlatform(s string) (Platform, error) {
+	pf, err := fleet.ParsePlatform(s)
+	return Platform(pf.Index()), err
+}
+
+// newStreamingTarget boots a streaming target through fleet.Boot, the
+// one builder every recording and replay path shares, and enables the
+// monitor-resident debug stub. Replay uses it to reconstruct the
+// recorded machine from a trace's metadata.
 func newStreamingTarget(p Platform, params guest.Params, seed uint64, plan *fault.Plan) (*Target, error) {
-	recv := netsim.NewReceiver()
-	m := machine.NewStreamingSeeded(params.BlockBytes, recv, guest.KernelBase, seed)
-	entry, err := guest.Prepare(m, params)
+	pf, err := fleet.PlatformAt(int(p))
 	if err != nil {
 		return nil, err
 	}
-	if !plan.Empty() {
-		m.InstallFaults(plan)
+	sys, err := fleet.Boot(pf, params, seed, plan, nil)
+	if err != nil {
+		return nil, err
 	}
-	t := &Target{platform: p, m: m, recv: recv, params: params, seed: seed, plan: plan, entry: entry}
-	switch p {
-	case BareMetal:
-		m.CPU.Reset(entry)
-	case Lightweight, HostedFull:
-		mode := vmm.Lightweight
-		if p == HostedFull {
-			mode = vmm.Hosted
-		}
-		t.mon = vmm.Attach(m, vmm.Config{Mode: mode})
-		t.stub = t.mon.EnableDebugStub()
-		if err := t.mon.Launch(entry); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("lvmm: unknown platform %d", p)
+	t := &Target{platform: p, sys: sys}
+	if sys.Mon != nil {
+		t.stub = sys.Mon.EnableDebugStub()
 	}
 	return t, nil
 }
 
 // Machine exposes the underlying simulated machine.
-func (t *Target) Machine() *machine.Machine { return t.m }
+func (t *Target) Machine() *machine.Machine { return t.sys.M }
 
 // Monitor exposes the attached VMM (nil on bare metal).
-func (t *Target) Monitor() *vmm.VMM { return t.mon }
+func (t *Target) Monitor() *vmm.VMM { return t.sys.Mon }
 
 // Receiver exposes the validating network sink.
-func (t *Target) Receiver() *netsim.Receiver { return t.recv }
+func (t *Target) Receiver() *netsim.Receiver { return t.sys.Recv }
 
 // Release returns the target's physical memory to the RAM pool (see
 // machine.Release). The target must not be used afterwards; callers
 // running many targets in sequence — the fleet runner, benchmarks —
 // use it to skip re-allocating and re-zeroing tens of megabytes per
 // run.
-func (t *Target) Release() { t.m.Release() }
+func (t *Target) Release() { t.sys.M.Release() }
 
 // RunStats summarizes a completed streaming run.
 type RunStats struct {
@@ -241,41 +218,39 @@ func (s RunStats) String() string {
 
 // Run executes the workload to completion and returns the measurements.
 func (t *Target) Run() (RunStats, error) {
-	limit := uint64(t.params.DurationTicks+400) * isa.ClockHz / uint64(t.params.TickHz)
-	reason := t.m.Run(limit)
+	m := t.sys.M
+	reason := m.Run(fleet.RunLimit(t.sys.Params))
 	if reason != machine.StopGuestDone {
-		return RunStats{}, fmt.Errorf("lvmm: run ended with %v at pc=%08x", reason, t.m.CPU.PC)
+		return RunStats{}, fmt.Errorf("lvmm: run ended with %v at pc=%08x", reason, m.CPU.PC)
 	}
 	return t.stats()
 }
 
 // stats reads the completed run's measurements off the machine.
 func (t *Target) stats() (RunStats, error) {
-	res := guest.ReadResults(t.m)
-	if res.ExitCode != 0 {
+	var res fleet.Result
+	t.sys.ReadOutcome(&res)
+	if g := res.Guest; g.ExitCode != 0 {
 		return RunStats{}, fmt.Errorf("lvmm: guest failed, exit=%#x cause=%s vaddr=%#x",
-			res.ExitCode, isa.CauseName(res.FatalCause), res.FatalVaddr)
+			g.ExitCode, isa.CauseName(g.FatalCause), g.FatalVaddr)
 	}
-	window := t.m.Clock()
-	stats := RunStats{
+	return RunStats{
 		Platform:     t.platform,
-		OfferedMbps:  t.params.RateMbps,
-		AchievedMbps: t.recv.RateMbps(window),
-		CPULoad:      t.m.CPULoad(),
-		Segments:     t.recv.Frames,
-		Clean:        t.recv.Clean(),
-		ValidateErr:  t.recv.LastError(),
-	}
-	if b := t.m.BusyCycles(); b > 0 {
-		stats.MonitorShare = float64(t.m.MonitorCycles()) / float64(b)
-	}
-	return stats, nil
+		OfferedMbps:  t.sys.Params.RateMbps,
+		AchievedMbps: res.AchievedMbps,
+		CPULoad:      res.CPULoad,
+		MonitorShare: res.MonitorShare,
+		Segments:     res.Frames,
+		Clean:        res.Clean,
+		ValidateErr:  res.NetError,
+	}, nil
 }
 
 // RunFor advances the target by the given virtual seconds without
 // requiring completion (for interactive/debugging sessions).
 func (t *Target) RunFor(seconds float64) machine.StopReason {
-	return t.m.Run(t.m.Clock() + isa.SecondsToCycles(seconds))
+	m := t.sys.M
+	return m.Run(m.Clock() + isa.SecondsToCycles(seconds))
 }
 
 // Debugger connects a remote debugger to the target's stub over an
@@ -286,7 +261,7 @@ func (t *Target) Debugger() (*debugger.Client, error) {
 	if t.stub == nil {
 		return nil, fmt.Errorf("lvmm: platform %v has no monitor-resident debug stub", t.platform)
 	}
-	return debugger.New(debugger.NewSimTransport(t.m))
+	return debugger.New(debugger.NewSimTransport(t.sys.M))
 }
 
 // Record/replay: every debugging session on the deterministic target is
@@ -300,7 +275,7 @@ type RecordOptions = replay.Options
 // Call before the first Run; call Finish on the returned recorder when
 // the run is over to obtain the trace.
 func (t *Target) Record(opts RecordOptions) *replay.Recorder {
-	rec := replay.NewRecorder(t.m, t.mon, t.recv, t.traceMeta(), opts)
+	rec := replay.NewRecorder(t.sys.M, t.sys.Mon, t.sys.Recv, t.sys.TraceMeta(), opts)
 	rec.Start()
 	return rec
 }
@@ -312,24 +287,12 @@ func (t *Target) Record(opts RecordOptions) *replay.Recorder {
 // Call FinishStream on the returned recorder when the run is over (and
 // close w yourself if it is a file).
 func (t *Target) RecordStream(w io.Writer, opts RecordOptions) (*replay.Recorder, error) {
-	rec, err := replay.NewStreamRecorder(w, t.m, t.mon, t.recv, t.traceMeta(), opts)
+	rec, err := replay.NewStreamRecorder(w, t.sys.M, t.sys.Mon, t.sys.Recv, t.sys.TraceMeta(), opts)
 	if err != nil {
 		return nil, err
 	}
 	rec.Start()
 	return rec, nil
-}
-
-func (t *Target) traceMeta() replay.TraceMeta {
-	meta := replay.TraceMeta{
-		Platform: int(t.platform),
-		Params:   t.params,
-		Seed:     t.seed,
-	}
-	if !t.plan.Empty() {
-		meta.Fault = t.plan
-	}
-	return meta
 }
 
 // ReplayTarget is a Target reconstructed from a trace and driven by a
@@ -365,7 +328,7 @@ func ReplaySource(src *replay.LazyTrace) (*ReplayTarget, error) {
 	if err != nil {
 		return nil, err
 	}
-	rp, err := replay.NewReplayerSource(src, t.m, t.mon, t.recv)
+	rp, err := replay.NewReplayerSource(src, t.sys.M, t.sys.Mon, t.sys.Recv)
 	if err != nil {
 		return nil, err
 	}

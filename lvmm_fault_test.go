@@ -194,3 +194,54 @@ func TestFaultyTargetDiffersFromClean(t *testing.T) {
 		t.Error("invalid plan accepted")
 	}
 }
+
+// TestReplayRebuildValidatesPlan pins that a replay rebuilds the
+// recorded machine through the same builder the recording paths use: a
+// trace whose metadata carries a plan Validate refuses (a spurious IRQ
+// on line 99 at cycle 0) must be refused by ReplaySource with that
+// error, exactly as NewStreamingTargetFaulty and fleet.RunOne refuse it.
+func TestReplayRebuildValidatesPlan(t *testing.T) {
+	bad := &FaultPlan{Name: "bad", IRQ: fault.IRQFaults{Spurious: []fault.SpuriousIRQ{{At: 0, Line: 99}}}}
+	want := bad.Validate()
+	if want == nil {
+		t.Fatal("the plan under test validates")
+	}
+
+	w := WorkloadDefaults(100)
+	w.Seconds = 0.02
+	if _, err := NewStreamingTargetFaulty(Lightweight, w, bad); err == nil || err.Error() != want.Error() {
+		t.Fatalf("NewStreamingTargetFaulty: got %v, want %v", err, want)
+	}
+	res := fleet.RunOne(context.Background(), fleet.Scenario{RateMbps: 100, DurationTicks: 2, Fault: bad})
+	if res.Err != want.Error() {
+		t.Fatalf("fleet.RunOne: got %q, want %q", res.Err, want)
+	}
+
+	// Record a clean run whose metadata claims the bad plan.
+	tg, err := NewStreamingTarget(Lightweight, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := tg.sys.TraceMeta()
+	meta.Fault = bad
+	var buf bytes.Buffer
+	rec, err := replay.NewStreamRecorder(&buf, tg.Machine(), tg.Monitor(), tg.Receiver(), meta, replay.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Start()
+	if _, err := tg.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rec.FinishStream(); err != nil {
+		t.Fatal(err)
+	}
+
+	lt, err := replay.NewLazyTrace(bytes.NewReader(buf.Bytes()), int64(buf.Len()), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReplaySource(lt); err == nil || err.Error() != want.Error() {
+		t.Fatalf("ReplaySource: got %v, want %v", err, want)
+	}
+}
