@@ -1,7 +1,8 @@
 // Command hxfleet runs a fleet of simulated machines concurrently: a
 // scenario-matrix file (or the built-in Figure 3.1 matrix) is expanded
 // into scenarios, dispatched onto a bounded worker pool, and the results
-// are aggregated into a sweep table and/or emitted as JSON.
+// are aggregated into a sweep table and/or emitted as JSON. With -fig31
+// the table is followed by the paper's headline ratios (5.4x and 26%).
 //
 // Usage:
 //
@@ -39,7 +40,6 @@ import (
 	"strconv"
 	"strings"
 
-	"lvmm/internal/experiment"
 	"lvmm/internal/fleet"
 )
 
@@ -60,7 +60,7 @@ func main() {
 		if flag.NArg() != 0 {
 			fail(fmt.Errorf("-fig31 and a matrix file are mutually exclusive"))
 		}
-		mx = fig31Matrix(*ticks, *rates)
+		mx = fleet.Fig31Matrix(uint32(*ticks), parseRates(*rates))
 	case flag.NArg() == 1:
 		var err error
 		mx, err = fleet.LoadMatrix(flag.Arg(0))
@@ -140,6 +140,9 @@ func main() {
 		fmt.Print(fleet.CSV(results))
 	case *table:
 		fmt.Print(fleet.Aggregate(results).Render())
+		if *fig31 {
+			fmt.Print("\n" + fleet.Summarize(results).Render())
+		}
 	}
 
 	if *out != "" {
@@ -168,24 +171,21 @@ func main() {
 	}
 }
 
-// fig31Matrix is the paper's Figure 3.1 sweep as a fleet matrix.
-func fig31Matrix(ticks uint, rates string) *fleet.Matrix {
-	mx := &fleet.Matrix{
-		Defaults:  fleet.Scenario{DurationTicks: uint32(ticks)},
-		Platforms: []fleet.Platform{fleet.Bare, fleet.Lightweight, fleet.Hosted},
+// parseRates reads -rates: comma-separated offered rates in Mb/s, or
+// nil (the standard sweep) when empty.
+func parseRates(s string) []float64 {
+	if s == "" {
+		return nil
 	}
-	if rates == "" {
-		mx.Rates = append(mx.Rates, experiment.StandardRates...)
-		return mx
-	}
-	for _, f := range strings.Split(rates, ",") {
+	var rates []float64
+	for _, f := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 		if err != nil {
 			fail(fmt.Errorf("bad rate %q: %v", f, err))
 		}
-		mx.Rates = append(mx.Rates, v)
+		rates = append(rates, v)
 	}
-	return mx
+	return rates
 }
 
 // firstLine trims a multi-line error (a panic report carries its whole

@@ -1,9 +1,12 @@
+// Package experiment holds the paper's debugging-under-load experiment,
+// MeasureDebugLatency, and a shim the benchmark module still builds
+// against. Figure 3.1, its headline ratios and the ablation sweeps are
+// fleet matrices: fleet.Fig31Matrix, fleet.Summarize and the
+// examples/fleet/ablation-*.json files.
 package experiment
 
 import (
-	"context"
 	"fmt"
-	"strings"
 
 	"lvmm/internal/fleet"
 	"lvmm/internal/guest"
@@ -86,34 +89,4 @@ func MeasureDebugLatency(rateMbps float64, ticks uint32) LatencyPoint {
 		StopMicros:  isa.CyclesToSeconds(stopCycles) * 1e6,
 		RegsMicros:  isa.CyclesToSeconds(regsCycles) * 1e6,
 	}
-}
-
-// DebugLatencySweep measures responsiveness across load levels. Each
-// point needs a custom interactive driver (injecting the interrupt byte
-// mid-run), so it rides the fleet's worker pool through ForEach rather
-// than as a Scenario; the machines are still private per point, so the
-// sweep parallelizes with identical results.
-func DebugLatencySweep(rates []float64, ticks uint32) []LatencyPoint {
-	out := make([]LatencyPoint, len(rates))
-	fleet.Runner{}.ForEach(context.Background(), len(rates), func(i int) {
-		out[i] = MeasureDebugLatency(rates[i], ticks)
-	})
-	return out
-}
-
-// RenderLatency formats the sweep.
-func RenderLatency(pts []LatencyPoint) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "debug responsiveness under I/O load (lightweight VMM)")
-	fmt.Fprintf(&b, "%-14s %-10s %-16s %-16s\n",
-		"offered Mb/s", "CPU load", "stop latency", "regs latency")
-	for _, p := range pts {
-		if p.Err != "" {
-			fmt.Fprintf(&b, "%-14.0f ERROR: %s\n", p.OfferedMbps, p.Err)
-			continue
-		}
-		fmt.Fprintf(&b, "%-14.0f %-10.1f%% %-13.0f µs %-13.0f µs\n",
-			p.OfferedMbps, p.CPULoad*100, p.StopMicros, p.RegsMicros)
-	}
-	return b.String()
 }

@@ -82,6 +82,11 @@ func Boot(pf Platform, params guest.Params, seed uint64, plan *fault.Plan, costs
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
+	if costs != nil {
+		if err := costs.Validate(); err != nil {
+			return nil, err
+		}
+	}
 	cfg := vmm.Config{Mode: vmm.Lightweight}
 	switch pf {
 	case Bare, Lightweight:

@@ -85,8 +85,9 @@ type Scenario struct {
 	// StopAtInstr stops the run once the CPU retires this many
 	// instructions (0 = disabled).
 	StopAtInstr uint64 `json:"stop_at_instr,omitempty"`
-	// Costs overrides the platform's calibrated monitor cost model
-	// (ablation sweeps). Ignored on bare metal.
+	// Costs replaces the platform's calibrated monitor cost model
+	// (ablation sweeps), so every field must be given: an omitted field
+	// is 0. Ignored on bare metal, though still validated.
 	Costs *perfmodel.Costs `json:"costs,omitempty"`
 	// Record, when non-empty, streams a v3 execution trace of the run to
 	// this file path (segmented format, delta snapshots; see

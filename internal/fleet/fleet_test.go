@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"lvmm/internal/perfmodel"
 )
 
 // testMatrix is a small but heterogeneous sweep: every platform, two
@@ -217,6 +219,20 @@ func TestMatrixExpand(t *testing.T) {
 	if !names["bare@100Mbps"] || !names["lightweight@700Mbps/slow#1"] || !names["hosted@50Mbps"] {
 		t.Fatalf("expected derived names missing: %v", names)
 	}
+
+	// With every axis empty, a matrix runs only its explicit scenarios,
+	// and a matrix with neither axes nor scenarios runs its template.
+	only := mustExpand(t, &Matrix{
+		Defaults:  Scenario{DurationTicks: 8},
+		Scenarios: []Scenario{{Name: "a", RateMbps: 100}, {Name: "b", RateMbps: 200}},
+	})
+	if len(only) != 2 || only[0].Name != "a" || only[1].Name != "b" {
+		t.Fatalf("scenarios-only matrix expanded to %+v", only)
+	}
+	tmpl := mustExpand(t, &Matrix{Defaults: Scenario{RateMbps: 100}})
+	if len(tmpl) != 1 || tmpl[0].RateMbps != 100 {
+		t.Fatalf("empty matrix expanded to %+v, want its template", tmpl)
+	}
 }
 
 func TestMatrixExpandUniquifiesTemplateRecordPath(t *testing.T) {
@@ -334,6 +350,15 @@ func TestUnknownPlatformAndEngine(t *testing.T) {
 	}
 	if res := RunOne(context.Background(), Scenario{Engine: "jit", RateMbps: 10}); res.Err == "" {
 		t.Fatal("unknown engine accepted")
+	}
+	// A cost override replaces the whole model: one that leaves the
+	// copy-cost denominator at 0 is refused, not run into a divide by
+	// zero.
+	partial := Scenario{Platform: Hosted, RateMbps: 10, DurationTicks: 20,
+		Costs: &perfmodel.Costs{WorldSwitchIn: 1000}}
+	if res := (Runner{}).Run(context.Background(), []Scenario{partial})[0]; res.Err == "" ||
+		strings.Contains(res.Err, "panicked") {
+		t.Fatalf("partial cost override: error %q, want a refusal", res.Err)
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 // Matrix is the scenario-matrix file cmd/hxfleet consumes: a template
 // scenario crossed with per-axis value lists, plus explicit extras. Empty
 // axes collapse to the template's value, so a file may be as small as
-// {"rates": [100, 400, 700]}.
+// {"rates": [100, 400, 700]}. A matrix whose axes are all empty runs
+// only its explicit scenarios, or, when it has none, the template.
 type Matrix struct {
 	// Defaults is the template every expanded cell starts from.
 	Defaults Scenario `json:"defaults,omitempty"`
@@ -85,6 +86,10 @@ func (mx *Matrix) Expand() ([]Scenario, error) {
 	}
 
 	cells := len(platforms) * len(rates) * len(engines) * len(seeds) * len(faults)
+	if len(mx.Platforms)+len(mx.Rates)+len(mx.Engines)+len(mx.Seeds)+len(mx.Faults) == 0 &&
+		len(mx.Scenarios) > 0 {
+		platforms = nil // scenarios only: no template cell
+	}
 	var out []Scenario
 	for _, pf := range platforms {
 		for _, rate := range rates {

@@ -2,6 +2,7 @@ package guest
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 
@@ -147,6 +148,13 @@ func Prepare(m *machine.Machine, p Params) (entry uint32, err error) {
 	if p.TickHz == 0 {
 		p.TickHz = 100
 	}
+	// The boot info carries the rate as a uint32 byte count per tick; a
+	// float conversion out of that range (NaN and ±Inf included) is
+	// implementation-dependent, so it is refused rather than encoded.
+	bpt := p.RateMbps * 1e6 / 8 / float64(p.TickHz)
+	if !(bpt >= 0 && bpt <= math.MaxUint32) {
+		return 0, fmt.Errorf("guest: offered rate %g Mb/s is not encodable at %d Hz", p.RateMbps, p.TickHz)
+	}
 	memTop := p.MemTop
 	if memTop == 0 {
 		memTop = DefaultMemTop
@@ -164,7 +172,7 @@ func Prepare(m *machine.Machine, p Params) (entry uint32, err error) {
 		return 0, fmt.Errorf("guest: header template does not fit")
 	}
 
-	bytesPerTick := uint32(p.RateMbps * 1e6 / 8 / float64(p.TickHz))
+	bytesPerTick := uint32(bpt)
 	pitDiv := uint32(pit.InputHz) / p.TickHz
 	flags := uint32(0)
 	if p.CsumOffload {

@@ -22,6 +22,8 @@
 // USENIX ATC'01 — the paper's reference [2]).
 package perfmodel
 
+import "errors"
+
 // Costs prices monitor events in CPU cycles.
 type Costs struct {
 	// WorldSwitchIn is guest→monitor: trap interception, register file
@@ -87,6 +89,15 @@ func Hosted() Costs {
 		CopyPerByteNum:  2,
 		CopyPerByteDen:  1,
 	}
+}
+
+// Validate reports a model the monitor cannot price with: the copy
+// cost's denominator must be positive.
+func (c Costs) Validate() error {
+	if c.CopyPerByteDen == 0 {
+		return errors.New("perfmodel: CopyPerByteDen must be positive")
+	}
+	return nil
 }
 
 // CopyCost returns the bounce-buffer cost of moving n bytes.

@@ -25,7 +25,6 @@ import (
 	"io"
 
 	"lvmm/internal/debugger"
-	"lvmm/internal/experiment"
 	"lvmm/internal/fault"
 	"lvmm/internal/fleet"
 	"lvmm/internal/gdbstub"
@@ -351,12 +350,4 @@ func (rt *ReplayTarget) Run() (RunStats, error) {
 		return RunStats{}, err
 	}
 	return rt.stats()
-}
-
-// Figure31Options mirrors experiment.Options for the public API.
-type Figure31Options = experiment.Options
-
-// Figure31 regenerates the paper's Figure 3.1 sweep.
-func Figure31(opts Figure31Options) *experiment.Fig31 {
-	return experiment.RunFig31(opts)
 }

@@ -1,6 +1,7 @@
 package lvmm
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -116,6 +117,13 @@ func TestWorkloadValidation(t *testing.T) {
 	if _, err := NewStreamingTarget(BareMetal, w); err == nil {
 		t.Fatal("invalid segment size accepted")
 	}
+	// Offered rates whose bytes per tick do not fit the boot info's
+	// uint32: converting them would be implementation-dependent.
+	for _, rate := range []float64{math.NaN(), -1, math.Inf(1), 1e7} {
+		if _, err := NewStreamingTarget(BareMetal, WorkloadDefaults(rate)); err == nil {
+			t.Errorf("offered rate %g accepted", rate)
+		}
+	}
 }
 
 func TestPlatformStrings(t *testing.T) {
@@ -123,16 +131,5 @@ func TestPlatformStrings(t *testing.T) {
 		if p.String() == "unknown platform" {
 			t.Fatalf("platform %d has no name", p)
 		}
-	}
-}
-
-func TestFigure31Facade(t *testing.T) {
-	fig := Figure31(Figure31Options{Rates: []float64{30}, DurationTicks: 10})
-	if len(fig.Points) != 3 {
-		t.Fatalf("platforms: %d", len(fig.Points))
-	}
-	s := fig.Summarize()
-	if s.BareMax == 0 {
-		t.Fatal("no bare-metal measurement")
 	}
 }
