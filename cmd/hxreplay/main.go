@@ -196,9 +196,6 @@ func cmdSalvage(args []string) error {
 	if dst == "" {
 		dst = strings.TrimSuffix(src, ".trc") + ".salvaged.trc"
 	}
-	if dst == src {
-		return fmt.Errorf("salvage output %s would overwrite the damaged input", dst)
-	}
 	stats, err := replay.SalvageTraceFile(src, dst)
 	if err != nil {
 		return err

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -19,8 +21,12 @@ func writeTrace(t *testing.T, name string, events ...replay.Event) string {
 		EndInstr:    5_000,
 		EndDigest:   0xfeed,
 	}
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), name)
-	if err := tr.WriteFile(path); err != nil {
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 	"os"
@@ -111,20 +112,33 @@ func buildCrashTarget(img *asm.Image) (*machine.Machine, *vmm.VMM, *gdbstub.Stub
 // time the guest is frozen the damage is thousands of instructions old.
 func timeTravelScenario(img *asm.Image) {
 	// Record: run the buggy guest to its demise under the recorder.
+	// The trace streams into memory; a file works the same way.
 	m, v, _ := buildCrashTarget(img)
-	rec := replay.NewRecorder(m, v, nil,
+	var trace bytes.Buffer
+	rec, err := replay.NewStreamRecorder(&trace, m, v, nil,
 		replay.TraceMeta{Custom: true, Label: "crash-investigation"},
 		replay.Options{SnapshotInterval: 10_000_000})
+	if err != nil {
+		log.Fatal(err)
+	}
 	rec.Start()
 	m.Run(m.Clock() + 50_000_000)
-	tr := rec.Finish()
+	stats, err := rec.FinishStream()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("recorded the crashing run: %d instructions, %d snapshots\n",
-		tr.EndInstr, len(tr.Checkpoints))
+		stats.EndInstr, stats.Keyframes+stats.Deltas)
 
-	// Replay: rebuild the identical machine and attach the replayer; the
-	// debug stub gains the RSP reverse-execution packets (bs/bc).
+	// Replay: open the trace bytes, rebuild the identical machine and
+	// attach the replayer; the debug stub gains the RSP reverse-execution
+	// packets (bs/bc).
+	src, err := replay.NewLazyTrace(bytes.NewReader(trace.Bytes()), int64(trace.Len()), 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	m2, v2, stub2 := buildCrashTarget(img)
-	rp, err := replay.NewReplayer(tr, m2, v2, nil)
+	rp, err := replay.NewReplayerSource(src, m2, v2, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -139,10 +153,10 @@ func timeTravelScenario(img *asm.Image) {
 
 	// Seek to the wedge point — the violation that froze the guest — on a
 	// clean re-execution of the recorded timeline.
-	if err := rp.SeekInstr(tr.StartInstr()); err != nil {
+	if err := rp.SeekInstr(src.StartInstr()); err != nil {
 		log.Fatal(err)
 	}
-	if err := rp.SeekInstr(tr.EndInstr); err != nil {
+	if err := rp.SeekInstr(stats.EndInstr); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nat the wedge point (instruction %d):\n", rp.Position())

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -206,7 +207,11 @@ func synthSource(t *testing.T, end uint64, events ...replay.Event) *replay.LazyT
 		EndCycle:    end,
 		EndInstr:    end / 2,
 	}
-	lt, err := tr.Lazy()
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lt, err := replay.NewLazyTrace(bytes.NewReader(buf.Bytes()), int64(buf.Len()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,14 +44,19 @@ func TestCancelMidRecordSealsAndSalvages(t *testing.T) {
 		t.Fatal("cancelled run left no sealed trace")
 	}
 
-	// The async writer must have sealed a complete, loadable container.
-	tr, err := replay.ReadTraceFile(res.TracePath)
+	// The async writer must have sealed a complete, loadable container:
+	// every segment decodes (gzip CRCs checked) and every delta chain
+	// resolves.
+	src, err := replay.OpenSourceFile(res.TracePath, 0)
 	if err != nil {
 		t.Fatalf("sealed trace unreadable: %v", err)
 	}
-	if len(tr.Checkpoints) == 0 {
-		t.Fatal("sealed trace has no checkpoints")
+	events, cps := decodeWhole(t, src)
+	if events != src.NumEvents() || cps != src.NumCheckpoints() || cps == 0 {
+		t.Fatalf("sealed trace decodes %d events and %d checkpoints, its index lists %d and %d",
+			events, cps, src.NumEvents(), src.NumCheckpoints())
 	}
+	src.Close()
 
 	// No goroutine may outlive the run: the recorder's writer, the
 	// cancellation watcher, and the canceller above must all be gone.
@@ -69,8 +74,8 @@ func TestCancelMidRecordSealsAndSalvages(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// Tear the sealed file and salvage: the recovered prefix must load
-	// and replay machinery must accept it (checkpoint chain intact).
+	// Tear the sealed file and salvage: the recovered prefix must load,
+	// decode whole and keep its checkpoint chains intact.
 	whole, err := os.ReadFile(res.TracePath)
 	if err != nil {
 		t.Fatal(err)
@@ -87,16 +92,59 @@ func TestCancelMidRecordSealsAndSalvages(t *testing.T) {
 	if stats.Sealed {
 		t.Fatal("torn copy reported sealed")
 	}
-	sal, err := replay.ReadTrace(bytes.NewReader(recovered.Bytes()))
+	sal, err := replay.NewLazyTrace(bytes.NewReader(recovered.Bytes()), int64(recovered.Len()), 0)
 	if err != nil {
 		t.Fatalf("salvaged trace unreadable: %v", err)
 	}
-	if !sal.Meta.Salvaged {
+	if !sal.Meta().Salvaged {
 		t.Error("salvaged trace not marked Salvaged")
 	}
-	if len(sal.Checkpoints) == 0 {
-		t.Error("salvaged trace lost every checkpoint")
+	events, cps = decodeWhole(t, sal)
+	if events != stats.Events || cps != stats.Checkpoints || cps == 0 {
+		t.Fatalf("salvaged trace decodes %d events and %d checkpoints, salvage kept %d and %d",
+			events, cps, stats.Events, stats.Checkpoints)
 	}
+}
+
+// decodeWhole decodes every event and snapshot segment of lt, so each
+// gzip body is drained and its CRC checked, and walks every delta
+// checkpoint's base chain back to a keyframe, each base strictly
+// earlier on the timeline. It returns the decoded event and checkpoint
+// counts.
+func decodeWhole(t *testing.T, lt *replay.LazyTrace) (events, cps int) {
+	t.Helper()
+	sr := lt.Reader()
+	byID := map[int]*replay.Checkpoint{}
+	for i, sg := range sr.Segments() {
+		switch {
+		case sg.IsEvents():
+			batch, err := sr.DecodeEvents(i)
+			if err != nil {
+				t.Fatalf("event segment %d: %v", i, err)
+			}
+			events += len(batch)
+		case sg.IsSnapshot():
+			cp, err := sr.DecodeCheckpoint(i)
+			if err != nil {
+				t.Fatalf("snapshot segment %d: %v", i, err)
+			}
+			byID[cp.Index] = cp
+			cps++
+		}
+	}
+	for id, cur := range byID {
+		for steps := 0; cur.Delta; steps++ {
+			base, ok := byID[cur.Base]
+			if !ok || steps > len(byID) {
+				t.Fatalf("checkpoint %d's delta chain does not reach a keyframe", id)
+			}
+			if base.Instr > cur.Instr || base.Index == cur.Index {
+				t.Fatalf("checkpoint %d's base %d is not earlier on the timeline", cur.Index, cur.Base)
+			}
+			cur = base
+		}
+	}
+	return events, cps
 }
 
 // segmentStart walks the v3 container's segment headers (kind:u8 +

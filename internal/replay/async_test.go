@@ -29,10 +29,12 @@ func firstDiff(a, b []byte) int {
 // (GOMAXPROCS 1) and with three (GOMAXPROCS 4) must produce
 // byte-identical containers — not just equivalent ones — and both must
 // equal Trace.Write of the read-back trace, the sequential reference
-// writer. The recording uses DefaultEventBatch, the batch size Write
-// splits events at, so the batch boundaries match. Byte-identity is what
-// makes the pipeline invisible: trace files hash the same, diff the
-// same, and golden fixtures stay valid whatever the host's core count.
+// writer. A streaming run recorded at default options (a frame-producing
+// guest, snapshots at the default cadence) must equal its Trace.Write
+// too. The recordings use DefaultEventBatch, the batch size Write splits
+// events at, so the batch boundaries match. Byte-identity is what makes
+// the pipeline invisible: trace files hash the same, diff the same, and
+// golden fixtures stay valid whatever the host's core count.
 func TestAsyncRecordDifferential(t *testing.T) {
 	opts := Options{SnapshotInterval: 20_000_000, KeyframeEvery: 3}
 	record := func(procs int) ([]byte, StreamStats) {
@@ -68,76 +70,37 @@ func TestAsyncRecordDifferential(t *testing.T) {
 		t.Fatalf("workload too small to exercise the pipeline: %+v", oneStats)
 	}
 
-	tr, err := ReadTrace(bytes.NewReader(oneBytes))
+	m, v, recv := buildStreamLW(t)
+	rec := startMem(t, m, v, recv, Options{})
+	if reason := m.Run(400_000_000); reason != machine.StopGuestDone {
+		t.Fatalf("record stream_lw: stop %v pc=%08x", reason, m.CPU.PC)
+	}
+	lwStats, err := rec.FinishStream()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ref bytes.Buffer
-	if err := tr.Write(&ref); err != nil {
-		t.Fatal(err)
+	if lwStats.Keyframes+lwStats.Deltas < 2 || lwStats.Events == 0 {
+		t.Fatalf("stream_lw run too small to compare containers: %+v", lwStats)
 	}
-	if at := firstDiff(oneBytes, ref.Bytes()); at >= 0 {
-		t.Fatalf("pipeline and Trace.Write diverge at byte %d (sizes %d vs %d)",
-			at, len(oneBytes), ref.Len())
+	lwBytes := rec.buf.Bytes()
+
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{{"trap-dense", oneBytes}, {"stream_lw", lwBytes}} {
+		ref := encode(t, readBack(t, c.data))
+		if at := firstDiff(c.data, ref); at >= 0 {
+			t.Fatalf("%s: pipeline and Trace.Write diverge at byte %d (sizes %d vs %d)",
+				c.name, at, len(c.data), len(ref))
+		}
 	}
 
 	// The shared container replays bit-identically on both engines.
 	for _, slow := range []bool{false, true} {
 		m2, v2 := buildTrapDense(t, slow)
-		rp, err := NewReplayer(tr, m2, v2, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rp.RunToEnd(); err != nil {
+		if err := replayerFor(t, oneBytes, m2, v2, nil).RunToEnd(); err != nil {
 			t.Fatalf("replay (slow=%v) diverged: %v", slow, err)
 		}
-	}
-}
-
-// TestInMemoryRecorderMatchesStream pins that NewRecorder is the stream
-// recorder: the same run recorded with NewRecorder and with
-// NewStreamRecorder, both at default options, yields a trace whose
-// Trace.Write is exactly the streamed container.
-func TestInMemoryRecorderMatchesStream(t *testing.T) {
-	m, v, recv := buildStreamLW(t)
-	rec := NewRecorder(m, v, recv, TraceMeta{Custom: true}, Options{})
-	rec.Start()
-	if reason := m.Run(400_000_000); reason != machine.StopGuestDone {
-		t.Fatalf("record: stop %v pc=%08x", reason, m.CPU.PC)
-	}
-	tr := rec.Finish()
-	if tr == nil {
-		t.Fatalf("Finish returned no trace: %v", rec.Err())
-	}
-	if again := rec.Finish(); again != tr {
-		t.Fatal("a repeat Finish did not return the cached trace")
-	}
-
-	m2, v2, recv2 := buildStreamLW(t)
-	var streamed bytes.Buffer
-	srec, err := NewStreamRecorder(&streamed, m2, v2, recv2, TraceMeta{Custom: true}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srec.Start()
-	if reason := m2.Run(400_000_000); reason != machine.StopGuestDone {
-		t.Fatalf("stream record: stop %v pc=%08x", reason, m2.CPU.PC)
-	}
-	stats, err := srec.FinishStream()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Keyframes+stats.Deltas < 2 || stats.Events == 0 {
-		t.Fatalf("run too small to compare containers: %+v", stats)
-	}
-
-	var written bytes.Buffer
-	if err := tr.Write(&written); err != nil {
-		t.Fatal(err)
-	}
-	if at := firstDiff(written.Bytes(), streamed.Bytes()); at >= 0 {
-		t.Fatalf("Trace.Write(rec.Finish()) and the streamed container diverge at byte %d (sizes %d vs %d)",
-			at, written.Len(), streamed.Len())
 	}
 }
 

@@ -88,30 +88,24 @@ func TestFusedCrossEngineRecordReplay(t *testing.T) {
 		return m, v
 	}
 
-	record := func(slow bool) *Trace {
+	record := func(slow bool) []byte {
 		m, v := build(slow)
-		rec := NewRecorder(m, v, nil, TraceMeta{Custom: true},
-			Options{SnapshotInterval: 20_000_000})
-		rec.Start()
+		rec := startMem(t, m, v, nil, Options{SnapshotInterval: 20_000_000})
 		if reason := m.Run(400_000_000); reason != machine.StopGuestDone {
 			t.Fatalf("record (slow=%v): stop %v pc=%08x", slow, reason, m.CPU.PC)
 		}
-		return rec.Finish()
+		return rec.finish(t)
 	}
-	rerun := func(tr *Trace, slow bool) {
+	rerun := func(data []byte, slow bool) {
 		t.Helper()
 		m, v := build(slow)
-		rp, err := NewReplayer(tr, m, v, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rp.RunToEnd(); err != nil {
+		if err := replayerFor(t, data, m, v, nil).RunToEnd(); err != nil {
 			t.Fatalf("cross-engine replay (slow=%v) diverged: %v", slow, err)
 		}
 	}
 
-	trFused := record(false)
-	trSlow := record(true)
+	dataFused, dataSlow := record(false), record(true)
+	trFused, trSlow := readBack(t, dataFused), readBack(t, dataSlow)
 	if len(trFused.Events) == 0 {
 		t.Fatal("no events recorded — the virtual timer never ticked")
 	}
@@ -121,6 +115,6 @@ func TestFusedCrossEngineRecordReplay(t *testing.T) {
 			trFused.EndCycle, trFused.EndInstr, trFused.EndDigest, len(trFused.Events),
 			trSlow.EndCycle, trSlow.EndInstr, trSlow.EndDigest, len(trSlow.Events))
 	}
-	rerun(trFused, true) // fused-recorded trace under the slow engine
-	rerun(trSlow, false) // slow-recorded trace under the fused engine
+	rerun(dataFused, true) // fused-recorded trace under the slow engine
+	rerun(dataSlow, false) // slow-recorded trace under the fused engine
 }

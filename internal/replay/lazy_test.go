@@ -2,6 +2,7 @@ package replay
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -18,23 +19,15 @@ import (
 // seed traces from their *testing.F.
 func streamTrapDense(t testing.TB, opts Options) []byte {
 	t.Helper()
-	var buf bytes.Buffer
 	m, v := buildTrapDense(t, false)
-	rec, err := NewStreamRecorder(&buf, m, v, nil, TraceMeta{Custom: true}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.Start()
+	rec := startMem(t, m, v, nil, opts)
 	if reason := m.Run(400_000_000); reason != machine.StopGuestDone {
 		t.Fatalf("record: stop %v pc=%08x", reason, m.CPU.PC)
 	}
-	if _, err := rec.FinishStream(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return rec.finish(t)
 }
 
-// lazyOpen opens raw v3 bytes as a LazyTrace with the given budget.
+// lazyOpen opens raw trace bytes as a LazyTrace with the given budget.
 func lazyOpen(t testing.TB, data []byte, budget int64) *LazyTrace {
 	t.Helper()
 	lt, err := NewLazyTrace(bytes.NewReader(data), int64(len(data)), budget)
@@ -44,18 +37,96 @@ func lazyOpen(t testing.TB, data []byte, budget int64) *LazyTrace {
 	return lt
 }
 
-// TestLazyReplayDifferential proves the lazy engine is the resident
-// engine: the same streamed trace replayed through a LazyTrace and
-// through the fully loaded Trace must verify end to end on both
-// execution engines, and the lazily decoded metadata must match the
-// full loader's.
-func TestLazyReplayDifferential(t *testing.T) {
-	data := streamTrapDense(t, Options{SnapshotInterval: 20_000_000, KeyframeEvery: 3, EventBatch: 64})
+// memRecorder is a Recorder streaming into memory, the tests' stand-in
+// for a trace file.
+type memRecorder struct {
+	*Recorder
+	buf bytes.Buffer
+}
 
-	tr, err := ReadTrace(bytes.NewReader(data))
+// startMem starts recording a custom machine into memory.
+func startMem(t testing.TB, m *machine.Machine, v *vmm.VMM, recv *netsim.Receiver, opts Options) *memRecorder {
+	t.Helper()
+	r := &memRecorder{}
+	rec, err := NewStreamRecorder(&r.buf, m, v, recv, TraceMeta{Custom: true}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.Recorder = rec
+	rec.Start()
+	return r
+}
+
+// finish seals the recording and returns the container bytes.
+func (r *memRecorder) finish(t testing.TB) []byte {
+	t.Helper()
+	if _, err := r.FinishStream(); err != nil {
+		t.Fatal(err)
+	}
+	return r.buf.Bytes()
+}
+
+// replayerFor attaches a replayer to a machine, on a source of its own
+// opened from data with an unbounded cache: live checkpoints a session
+// inserts stay in its source.
+func replayerFor(t testing.TB, data []byte, m *machine.Machine, v *vmm.VMM, recv *netsim.Receiver) *Replayer {
+	t.Helper()
+	rp, err := NewReplayerSource(lazyOpen(t, data, math.MaxInt64), m, v, recv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rp
+}
+
+// readBack decodes every segment of a v3 container in file order into a
+// Trace: the sequential reference reader, independent of LazyTrace's
+// index geometry, for tests that inspect or rewrite a recorded timeline.
+func readBack(t testing.TB, data []byte) *Trace {
+	t.Helper()
+	sr, err := NewSegmentReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatalf("reading back the container: %v", err)
+	}
+	tr := &Trace{Meta: sr.Meta()}
+	tr.EndCycle, tr.EndInstr, tr.EndReason, tr.EndDigest = sr.End()
+	for i, si := range sr.Segments() {
+		switch {
+		case si.IsEvents():
+			batch, err := sr.DecodeEvents(i)
+			if err != nil {
+				t.Fatalf("reading back the container: %v", err)
+			}
+			tr.Events = append(tr.Events, batch...)
+		case si.IsSnapshot():
+			cp, err := sr.DecodeCheckpoint(i)
+			if err != nil {
+				t.Fatalf("reading back the container: %v", err)
+			}
+			tr.Checkpoints = append(tr.Checkpoints, *cp)
+		}
+	}
+	return tr
+}
+
+// encode writes a trace with Trace.Write and returns the container.
+func encode(t testing.TB, tr *Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLazyReplayDifferential proves the lazy reader reads what the
+// container holds: its resident metadata and every event it decodes on
+// demand must match a sequential decode of every segment (readBack),
+// and the streamed trace must verify end to end on both execution
+// engines.
+func TestLazyReplayDifferential(t *testing.T) {
+	data := streamTrapDense(t, Options{SnapshotInterval: 20_000_000, KeyframeEvery: 3, EventBatch: 64})
+
+	tr := readBack(t, data)
 	lt := lazyOpen(t, data, 0)
 	defer lt.Close()
 
@@ -168,14 +239,11 @@ func TestLazyReplayBoundedMemory(t *testing.T) {
 // TestLazyEvictionReFaultDifferential is the LRU correctness property:
 // drive reverse operations through a cache so small that checkpoint and
 // event segments are evicted and re-faulted mid-session, and require
-// every landing to be bit-identical to the same operations on a cold
-// fully resident replay — on both execution engines.
+// every landing to be bit-identical to the same operations on a replay
+// whose unbounded cache never evicts — on both execution engines.
 func TestLazyEvictionReFaultDifferential(t *testing.T) {
 	data := streamTrapDense(t, Options{SnapshotInterval: 15_000_000, KeyframeEvery: 4, EventBatch: 32})
-	tr, err := ReadTrace(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := readBack(t, data)
 	img, err := asm.Assemble(trapDenseKernel)
 	if err != nil {
 		t.Fatal(err)
@@ -186,12 +254,9 @@ func TestLazyEvictionReFaultDifferential(t *testing.T) {
 	}
 
 	for _, slow := range []bool{false, true} {
-		// Reference: cold, fully resident replay.
+		// Reference: a replay whose cache never evicts.
 		mF, vF := buildTrapDense(t, slow)
-		rpF, err := NewReplayer(tr, mF, vF, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rpF := replayerFor(t, data, mF, vF, nil)
 		// Subject: lazy replay with a budget far below the decoded trace
 		// (one snapshot at a time, roughly), forcing eviction traffic.
 		lt := lazyOpen(t, data, 96<<10)
@@ -319,6 +384,24 @@ func TestLazyLiveCheckpoint(t *testing.T) {
 // changes; every v2 test reads it.
 var goldenV2Path = filepath.Join("..", "..", "testdata", "v2-golden.trc")
 
+// readGoldenV2 decodes the v2 golden file's blob with the compatibility
+// loader, the reference its transcode to v3 is checked against.
+func readGoldenV2(t *testing.T) *Trace {
+	t.Helper()
+	data, err := os.ReadFile(goldenV2Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ver, err := parseHeader(data); err != nil || ver != traceVersionV2 {
+		t.Fatalf("golden header: version %d, %v", ver, err)
+	}
+	var tr Trace
+	if err := readTraceV2(bytes.NewReader(data[headerLen:]), &tr); err != nil {
+		t.Fatal(err)
+	}
+	return &tr
+}
+
 // buildGolden rebuilds the machine a streaming-target trace was recorded
 // on, from its metadata: the streaming guest under the lightweight
 // monitor with its debug stub, wired as the public target constructor
@@ -367,10 +450,7 @@ func TestOpenSourceFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src2.Close()
-	tr2, err := ReadTraceFile(goldenV2Path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr2 := readGoldenV2(t)
 	if src2.NumEvents() != len(tr2.Events) || src2.NumCheckpoints() != len(tr2.Checkpoints) {
 		t.Fatalf("v2 transcode holds %d events / %d checkpoints, the file %d / %d",
 			src2.NumEvents(), src2.NumCheckpoints(), len(tr2.Events), len(tr2.Checkpoints))

@@ -1,7 +1,6 @@
 package replay
 
 import (
-	"bytes"
 	"io"
 
 	"lvmm/internal/hw"
@@ -48,8 +47,8 @@ const DefaultEventBatch = 4096
 // StreamStats summarizes a sealed streamed recording.
 type StreamStats struct {
 	// Segments is the data segment count (meta, events, snapshots, end);
-	// the seek-index footer is framing and not counted, matching
-	// len(Trace.Segments) after a read-back.
+	// the seek-index footer is framing and not counted, matching the
+	// length of the index SegmentReader.Segments returns.
 	Segments int
 	// EventSegments / Keyframes / Deltas break the stream down.
 	EventSegments int
@@ -69,18 +68,16 @@ type StreamStats struct {
 }
 
 // Recorder captures a deterministic trace of a running machine. Create
-// it with the machine in the state the trace should begin at (normally
-// right after target construction, before the first Run), Start it, run
-// the workload, then Finish (NewRecorder) or FinishStream
-// (NewStreamRecorder).
+// it with NewStreamRecorder with the machine in the state the trace
+// should begin at (normally right after target construction, before the
+// first Run), Start it, run the workload, then FinishStream.
 //
-// Every recording streams the v3 container through the async segment
-// pipeline: each event batch and snapshot is handed to the pipeline as
-// recording proceeds, so the recorder itself holds O(one event batch +
-// one snapshot) however long the run is. NewStreamRecorder streams to
-// the caller's writer; NewRecorder streams into a buffer it owns and
-// reads the sealed container back into a *Trace at Finish, so the trace
-// it returns is exactly what a file recording would hold.
+// A recording streams the v3 container through the async segment
+// pipeline to the caller's writer: each event batch and snapshot is
+// handed to the pipeline as recording proceeds, so the recorder itself
+// holds O(one event batch + one snapshot) however long the run is. To
+// keep a trace in memory, record into a bytes.Buffer and open the bytes
+// with NewLazyTrace.
 //
 // Recording is only deterministic when all external input is injected
 // from the machine's own goroutine (batch runs, or debug sessions over
@@ -97,9 +94,6 @@ type Recorder struct {
 	pend     []Event         // the current event batch
 	batchLen int
 
-	buf   *bytes.Buffer // NewRecorder only: the owned stream, until Finish
-	trace *Trace        // NewRecorder only: Finish's read-back, cached
-
 	interval  uint64
 	maxSnaps  int
 	keyEvery  int
@@ -111,16 +105,6 @@ type Recorder struct {
 	lastIndex int  // stable Index of the previous checkpoint (delta base)
 
 	stats StreamStats
-}
-
-// NewRecorder prepares a recorder whose trace Finish returns in memory.
-// v and recv may be nil.
-func NewRecorder(m *machine.Machine, v *vmm.VMM, recv *netsim.Receiver, meta TraceMeta, opts Options) *Recorder {
-	buf := new(bytes.Buffer)
-	// A bytes.Buffer never fails a write, so neither can the header.
-	r, _ := NewStreamRecorder(buf, m, v, recv, meta, opts)
-	r.buf = buf
-	return r
 }
 
 // NewStreamRecorder prepares a recorder that writes the v3 segmented
@@ -365,26 +349,6 @@ func (r *Recorder) stop() traceEnd {
 	}
 }
 
-// Finish stops capturing, seals the recording with the final machine
-// state, and returns it as a *Trace read back from the sealed container.
-// Repeat calls return the same trace. A recorder from NewStreamRecorder
-// seals its stream and returns nil — use FinishStream there. When the
-// stream failed, Finish returns nil and Err reports why.
-func (r *Recorder) Finish() *Trace {
-	if _, err := r.FinishStream(); err != nil {
-		return nil
-	}
-	if r.trace == nil && r.buf != nil {
-		tr, err := ReadTrace(bytes.NewReader(r.buf.Bytes()))
-		if err != nil {
-			r.aw.setErr(err)
-			return nil
-		}
-		r.trace, r.buf = tr, nil
-	}
-	return r.trace
-}
-
 // FinishStream stops capturing and seals the streamed container: the
 // final event batch, the end segment, the seek-index footer, and the
 // trailer. The first error anywhere in the stream's life — mid-run
@@ -406,8 +370,7 @@ func (r *Recorder) FinishStream() (StreamStats, error) {
 	// go out. It is idempotent, and after it the segWriter is ours again.
 	err := r.aw.seal()
 	// Data segments only — the seek-index footer and trailer are framing,
-	// and the index cannot list itself (matches len(Trace.Segments) after
-	// a read-back).
+	// and the index cannot list itself.
 	r.stats.Segments = len(r.sw.index)
 	r.stats.BytesWritten = r.sw.off
 	return r.stats, err

@@ -70,20 +70,9 @@ type Replayer struct {
 	reexec       uint64
 }
 
-// NewReplayer attaches a replayer to a machine built with the same
+// NewReplayerSource attaches a replayer to a machine built with the same
 // configuration the trace was recorded on, and rewinds it to the trace's
 // initial checkpoint. v and recv may be nil if the recording had none.
-// The trace replays through Trace.Lazy: it is re-encoded once and read
-// back through the same seek-index reader a trace file uses.
-func NewReplayer(tr *Trace, m *machine.Machine, v *vmm.VMM, recv *netsim.Receiver) (*Replayer, error) {
-	lt, err := tr.Lazy()
-	if err != nil {
-		return nil, err
-	}
-	return NewReplayerSource(lt, m, v, recv)
-}
-
-// NewReplayerSource attaches a replayer to a lazily opened trace.
 // Delta-checkpoint base chains are validated as they are materialized —
 // walking every chain up front would decode every snapshot segment,
 // which is exactly what the lazy reader exists to avoid.

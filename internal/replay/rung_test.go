@@ -251,12 +251,8 @@ func TestRungAfterInput(t *testing.T) {
 func TestNoRungWhenUntracked(t *testing.T) {
 	h := newSeekHarness(t, lazyOpen(t, seekPathTrace(t), 0), buildStreamLW, false, true)
 	undoBaseLanding(h, h.src.NumCheckpoints()/2)
-	rec := NewRecorder(h.m, h.v, h.recv, TraceMeta{Custom: true}, Options{KeyframeEvery: 3})
-	rec.Start()
-	if rec.Finish() == nil {
-		t.Fatalf("recording on the replay target: %v", rec.Err())
-	}
-	h.rp.installHooks() // Finish clears the capture hooks the replayer shares
+	startMem(t, h.m, h.v, h.recv, Options{KeyframeEvery: 3}).finish(t)
+	h.rp.installHooks() // FinishStream clears the capture hooks the replayer shares
 	h.trail = append(h.trail, "record")
 	h.step(opSeekFwd, 2*rungMinInstr)
 	if h.rp.rung != nil {

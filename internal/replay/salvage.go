@@ -113,19 +113,19 @@ func (st *scanState) stop(off int64, format string, args ...any) {
 // the scan and is described in the state; only a stream that is not a
 // v3 trace at all fails.
 func scanV3(r io.Reader) (*scanState, error) {
-	magic := make([]byte, len(traceMagic)+2)
+	magic := make([]byte, headerLen)
 	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, fmt.Errorf("replay: reading trace header: %w", err)
 	}
-	if string(magic[:len(traceMagic)]) != traceMagic {
-		return nil, fmt.Errorf("replay: not a trace file")
+	ver, err := parseHeader(magic)
+	if err != nil {
+		return nil, err
 	}
-	ver := int(magic[len(traceMagic)]) | int(magic[len(traceMagic)+1])<<8
 	if ver != TraceVersion {
 		return nil, fmt.Errorf("replay: salvage requires a v%d trace (file is version %d)", TraceVersion, ver)
 	}
 
-	st := &scanState{truncAt: int64(len(magic))}
+	st := &scanState{truncAt: int64(headerLen)}
 	off := st.truncAt
 	var hdr [9]byte
 	for {
@@ -302,13 +302,24 @@ func SalvageTrace(r io.Reader, w io.Writer) (SalvageStats, error) {
 
 // SalvageTraceFile salvages src into dst. dst is written atomically
 // (temp file + rename) so a failed salvage never leaves a half-written
-// container behind.
+// container behind. A dst that names the src file under any path (a
+// different spelling, a hard link) is refused before anything is
+// written: the rename would replace the damaged input with its prefix.
 func SalvageTraceFile(src, dst string) (SalvageStats, error) {
 	in, err := os.Open(src)
 	if err != nil {
 		return SalvageStats{}, err
 	}
 	defer in.Close()
+	if di, err := os.Stat(dst); err == nil {
+		si, err := in.Stat()
+		if err != nil {
+			return SalvageStats{}, err
+		}
+		if os.SameFile(si, di) {
+			return SalvageStats{}, fmt.Errorf("replay: salvage output %s would overwrite the damaged input %s", dst, src)
+		}
+	}
 	tmp, err := os.CreateTemp(filepath.Dir(dst), ".salvage-*")
 	if err != nil {
 		return SalvageStats{}, err

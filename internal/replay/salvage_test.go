@@ -50,15 +50,8 @@ func salvageBytes(t *testing.T, data []byte) (SalvageStats, []byte, error) {
 // machine and returns the machine digest and position at the end.
 func replaySalvaged(t *testing.T, data []byte, slow bool) (uint64, uint64) {
 	t.Helper()
-	tr, err := ReadTrace(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("salvaged trace does not load: %v", err)
-	}
 	m, v := buildTrapDense(t, slow)
-	rp, err := NewReplayer(tr, m, v, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rp := replayerFor(t, data, m, v, nil)
 	if err := rp.RunToEnd(); err != nil {
 		t.Fatalf("salvaged replay diverged: %v", err)
 	}
@@ -93,12 +86,6 @@ func TestSalvageEveryBoundary(t *testing.T) {
 		t.Fatalf("trace has only %d segments; the sweep needs more structure", len(bounds))
 	}
 
-	// The clean full-trace replay digest, for prefix comparison.
-	fullTr, err := ReadTrace(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	salvageable := 0
 	for _, cut := range bounds {
 		for _, off := range []int64{cut, cut + 5} {
@@ -119,10 +106,7 @@ func TestSalvageEveryBoundary(t *testing.T) {
 			// The salvaged replay must land on the same machine state the
 			// clean recording passed through at that position.
 			m, v := buildTrapDense(t, false)
-			rp, err := NewReplayer(fullTr, m, v, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rp := replayerFor(t, data, m, v, nil)
 			if err := rp.SeekInstr(pos); err != nil {
 				t.Fatalf("cut at %d: seeking clean trace to instr %d: %v", off, pos, err)
 			}
@@ -244,6 +228,48 @@ func TestSalvageFileAndMetaMarker(t *testing.T) {
 	}
 }
 
+// TestSalvageRefusesItsInputAsOutput: an output path that names the
+// damaged input under another spelling or through a hard link is
+// refused before anything is written — the atomic rename would replace
+// the input with its salvaged prefix — and leaves the input's bytes and
+// no temp file behind.
+func TestSalvageRefusesItsInputAsOutput(t *testing.T) {
+	data := streamTrapDense(t, Options{SnapshotInterval: 40_000_000, KeyframeEvery: 2})
+	torn := data[:segmentBoundaries(t, data)[3]]
+	dir := t.TempDir()
+	src := filepath.Join(dir, "torn.trc")
+	if err := os.WriteFile(src, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	link := filepath.Join(dir, "link.trc")
+	if err := os.Link(src, link); err != nil {
+		t.Fatal(err)
+	}
+	for _, dst := range []string{src, dir + "/./torn.trc", link} {
+		if _, err := SalvageTraceFile(src, dst); err == nil {
+			t.Errorf("salvage into %s, the input itself, succeeded", dst)
+		}
+		if got, err := os.ReadFile(src); err != nil || !bytes.Equal(got, torn) {
+			t.Fatalf("salvage into %s changed the input (%v)", dst, err)
+		}
+	}
+	leftovers, err := filepath.Glob(filepath.Join(dir, ".salvage-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(leftovers) != 0 {
+		t.Fatalf("temp files left behind: %v", leftovers)
+	}
+	// A different existing file is still a valid output.
+	other := filepath.Join(dir, "other.trc")
+	if err := os.WriteFile(other, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SalvageTraceFile(src, other); err != nil {
+		t.Fatalf("salvage over an unrelated file: %v", err)
+	}
+}
+
 // FuzzSalvage throws arbitrary truncations and corruptions of a valid
 // v3 container (and arbitrary bytes) at the salvage engine: it must
 // never panic, and when it claims success the output must be a loadable
@@ -272,11 +298,12 @@ func FuzzSalvage(f *testing.F) {
 		if stats.Checkpoints == 0 {
 			t.Fatal("salvage succeeded with zero checkpoints")
 		}
-		// The output must be a well-formed container...
-		tr, rerr := ReadTrace(bytes.NewReader(out.Bytes()))
-		if rerr != nil {
-			t.Fatalf("salvaged output does not load: %v", rerr)
+		// The output must be a well-formed container whose every segment
+		// decodes...
+		if _, err := NewLazyTrace(bytes.NewReader(out.Bytes()), int64(out.Len()), 0); err != nil {
+			t.Fatalf("salvaged output does not open: %v", err)
 		}
+		tr := readBack(t, out.Bytes())
 		if len(tr.Checkpoints) != stats.Checkpoints || len(tr.Events) != stats.Events {
 			t.Fatalf("salvaged output holds %d/%d checkpoints/events, stats claim %d/%d",
 				len(tr.Checkpoints), len(tr.Events), stats.Checkpoints, stats.Events)

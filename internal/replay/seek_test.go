@@ -1,7 +1,6 @@
 package replay
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"strings"
@@ -34,13 +33,12 @@ func buildStreamLW(t testing.TB) (*machine.Machine, *vmm.VMM, *netsim.Receiver) 
 }
 
 // recordStreamLW records buildStreamLW's run in memory, injecting one
-// console-UART byte at each of the given cycles.
-func recordStreamLW(t testing.TB, inputAt []uint64) *Trace {
+// console-UART byte at each of the given cycles, and returns the
+// container bytes.
+func recordStreamLW(t testing.TB, inputAt []uint64) []byte {
 	t.Helper()
 	m, v, recv := buildStreamLW(t)
-	rec := NewRecorder(m, v, recv, TraceMeta{Custom: true},
-		Options{SnapshotInterval: 20_000_000, KeyframeEvery: 3})
-	rec.Start()
+	rec := startMem(t, m, v, recv, Options{SnapshotInterval: 20_000_000, KeyframeEvery: 3})
 	for i, c := range inputAt {
 		if reason := m.Run(c); reason != machine.StopLimit {
 			t.Fatalf("record: stopped %v before input %d", reason, i)
@@ -50,19 +48,14 @@ func recordStreamLW(t testing.TB, inputAt []uint64) *Trace {
 	if reason := m.Run(400_000_000); reason != machine.StopGuestDone {
 		t.Fatalf("record: stop %v pc=%08x", reason, m.CPU.PC)
 	}
-	return rec.Finish()
+	return rec.finish(t)
 }
 
-// bothSources opens the trace's Trace.Write bytes twice: with the
-// unbounded cache NewReplayer's Trace.Lazy uses, and with the default
-// budget a trace file opens with.
-func bothSources(t *testing.T, tr *Trace) []*LazyTrace {
+// bothSources opens trace bytes twice: with an unbounded cache, which
+// never evicts, and with the default budget a trace file opens with.
+func bothSources(t *testing.T, data []byte) []*LazyTrace {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return []*LazyTrace{lazyOpen(t, buf.Bytes(), math.MaxInt64), lazyOpen(t, buf.Bytes(), 0)}
+	return []*LazyTrace{lazyOpen(t, data, math.MaxInt64), lazyOpen(t, data, 0)}
 }
 
 // newStreamReplayer attaches a replayer for a recordStreamLW trace to a
@@ -80,11 +73,12 @@ func newStreamReplayer(t *testing.T, src *LazyTrace) (*Replayer, *machine.Machin
 // TestFrameDigestDivergence pins frame verification: seeks skip the
 // frame hash, so a tampered EvFrame digest must still be caught by
 // RunToEnd at exactly that event, while seeks across it land on the
-// same state as on the clean trace — opened as NewReplayer opens a
-// resident trace and as a trace file opens.
+// same state as on the clean trace — opened with an unbounded cache and
+// as a trace file opens.
 func TestFrameDigestDivergence(t *testing.T) {
-	clean := recordStreamLW(t, nil)
-	cleanSrcs := bothSources(t, clean)
+	data := recordStreamLW(t, nil)
+	clean := readBack(t, data)
+	cleanSrcs := bothSources(t, data)
 	cleanSrc := cleanSrcs[0]
 
 	// A frame past the first whose seek landing 1000 instructions later
@@ -120,8 +114,8 @@ func TestFrameDigestDivergence(t *testing.T) {
 	tampered.Events[k].Digest ^= 1
 	tampered.Checkpoints = append([]Checkpoint(nil), clean.Checkpoints...)
 
-	tamperedSrcs := bothSources(t, &tampered)
-	for j, name := range []string{"resident", "lazy"} {
+	tamperedSrcs := bothSources(t, encode(t, &tampered))
+	for j, name := range []string{"unbounded", "lazy"} {
 		rp, _, _ := newStreamReplayer(t, cleanSrcs[j])
 		if err := rp.RunToEnd(); err != nil {
 			t.Fatalf("%s: clean trace diverged: %v", name, err)
@@ -176,9 +170,9 @@ func TestFrameDigestDivergence(t *testing.T) {
 // a backward restore leaves the seek's cursor off the walk's.
 func TestSeekCursorExactWithInputs(t *testing.T) {
 	inputAt := []uint64{90_000_000, 123_000_000, 124_000_000, 158_000_000, 182_000_000, 211_000_000}
-	tr := recordStreamLW(t, inputAt)
+	data := recordStreamLW(t, inputAt)
 	var inputs []Event
-	for _, ev := range tr.Events {
+	for _, ev := range readBack(t, data).Events {
 		if ev.Kind == EvInput {
 			inputs = append(inputs, ev)
 		}
@@ -191,8 +185,8 @@ func TestSeekCursorExactWithInputs(t *testing.T) {
 		t.Fatal("streaming kernel has no send_one symbol")
 	}
 
-	for j, src := range bothSources(t, tr) {
-		name := []string{"resident", "lazy"}[j]
+	for j, src := range bothSources(t, data) {
+		name := []string{"unbounded", "lazy"}[j]
 		rp, _, _ := newStreamReplayer(t, src)
 
 		// The reference is a verifying walk run from the trace start to

@@ -135,12 +135,8 @@ func (h *seekHarness) step(kind byte, arg uint32) {
 			// bitmap at its first checkpoint, so the reverse step after it
 			// must not trust the bitmap.
 			h.trail = append(h.trail, "record")
-			rec := NewRecorder(h.m, h.v, h.recv, TraceMeta{Custom: true}, Options{KeyframeEvery: 3})
-			rec.Start()
-			if rec.Finish() == nil {
-				h.t.Fatalf("%s: recording on the replay target: %v", h.where(), rec.Err())
-			}
-			// Finish clears the capture hooks the replayer shares.
+			startMem(h.t, h.m, h.v, h.recv, Options{KeyframeEvery: 3}).finish(h.t)
+			// FinishStream clears the capture hooks the replayer shares.
 			rp.installHooks()
 			undos := rp.undos
 			reverseStep(1 + uint64(arg)%1000)
@@ -243,11 +239,7 @@ var seekPathData []byte
 func seekPathTrace(t testing.TB) []byte {
 	t.Helper()
 	if seekPathData == nil {
-		var buf bytes.Buffer
-		if err := recordStreamLW(t, seekInputAt).Write(&buf); err != nil {
-			t.Fatal(err)
-		}
-		seekPathData = buf.Bytes()
+		seekPathData = recordStreamLW(t, seekInputAt)
 	}
 	return seekPathData
 }
@@ -441,9 +433,7 @@ func buildStreamLWStub(t testing.TB) (*machine.Machine, *vmm.VMM, *netsim.Receiv
 // after the write would keep it unwritten.
 func TestUndoRestoreAfterSkippedDebugInput(t *testing.T) {
 	m, v, recv := buildStreamLWStub(t)
-	rec := NewRecorder(m, v, recv, TraceMeta{Custom: true},
-		Options{SnapshotInterval: 20_000_000, KeyframeEvery: 3})
-	rec.Start()
+	rec := startMem(t, m, v, recv, Options{SnapshotInterval: 20_000_000, KeyframeEvery: 3})
 	const inputAt = 150_000_000
 	if reason := m.Run(inputAt); reason != machine.StopLimit {
 		t.Fatalf("record: stopped %v before the debug input", reason)
@@ -461,13 +451,10 @@ func TestUndoRestoreAfterSkippedDebugInput(t *testing.T) {
 	if got := m.Bus.RAM()[addr : addr+4]; !bytes.Equal(got, []byte{0xc0, 0xff, 0xee, 0x01}) {
 		t.Fatalf("the recorded RSP write did not land: % x", got)
 	}
-	tr := rec.Finish()
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
+	data := rec.finish(t)
+	tr := readBack(t, data)
 
-	h := newSeekHarness(t, lazyOpen(t, buf.Bytes(), 0), buildStreamLWStub, false, false)
+	h := newSeekHarness(t, lazyOpen(t, data, 0), buildStreamLWStub, false, false)
 	k := nearestCheckpointIdx(h.src, tr.Events[len(tr.Events)-1].Instr)
 	for i, ev := range tr.Events {
 		if ev.Kind == EvInput {

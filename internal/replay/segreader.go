@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -25,17 +26,19 @@ type SegmentReader struct {
 }
 
 // NewSegmentReader opens a v3 trace of the given size through its seek
-// index. v2 monolithic traces have no index and are rejected; open them
-// with OpenSourceFile or ReadTrace instead.
+// index. v2 monolithic traces have no index and are rejected; NewLazyTrace
+// and OpenSourceFile open them by transcoding to v3. A container that
+// lists one checkpoint id twice is refused here, so every reader of the
+// bytes gets that check.
 func NewSegmentReader(r io.ReaderAt, size int64) (*SegmentReader, error) {
-	hdr := make([]byte, len(traceMagic)+2)
+	hdr := make([]byte, headerLen)
 	if _, err := r.ReadAt(hdr, 0); err != nil {
 		return nil, fmt.Errorf("replay: reading trace header: %w", err)
 	}
-	if string(hdr[:len(traceMagic)]) != traceMagic {
-		return nil, fmt.Errorf("replay: not a trace file")
+	ver, err := parseHeader(hdr)
+	if err != nil {
+		return nil, err
 	}
-	ver := int(hdr[len(traceMagic)]) | int(hdr[len(traceMagic)+1])<<8
 	if ver != TraceVersion {
 		return nil, fmt.Errorf("replay: trace version %d has no seek index (want %d)", ver, TraceVersion)
 	}
@@ -48,7 +51,7 @@ func NewSegmentReader(r io.ReaderAt, size int64) (*SegmentReader, error) {
 		return nil, fmt.Errorf("replay: bad trace trailer (truncated or unsealed recording)")
 	}
 	idxOff := int64(binary.LittleEndian.Uint64(tr[8:]))
-	if idxOff < int64(len(hdr)) || idxOff >= size-16 {
+	if idxOff < int64(headerLen) || idxOff >= size-16 {
 		return nil, fmt.Errorf("replay: trailer points index at offset %d (file is %d bytes)", idxOff, size)
 	}
 	sr := &SegmentReader{r: r, size: size}
@@ -71,7 +74,7 @@ func NewSegmentReader(r io.ReaderAt, size int64) (*SegmentReader, error) {
 	// could alias thousands of entries onto one high-ratio segment and
 	// turn a kilobyte file into an unbounded decompression treadmill
 	// (found by FuzzSegmentReader).
-	prevEnd := int64(len(hdr))
+	prevEnd := int64(headerLen)
 	for i := range idx {
 		si := &idx[i]
 		if si.Bytes < 9 || si.Offset < prevEnd || si.Offset+si.Bytes > size {
@@ -197,7 +200,7 @@ const DefaultLRUBudget = 64 << 20
 // (disk I/O, a corrupt segment).
 type LazyTrace struct {
 	sr     *SegmentReader
-	closer io.Closer // the underlying file for OpenLazyTraceFile
+	closer io.Closer // the underlying file for OpenSourceFile
 
 	// Event geometry, computed from the index alone: evSegs[k] is the
 	// segment position of the k-th event batch, evBase[k] the global
@@ -238,9 +241,31 @@ type lazyCheckpoint struct {
 	live *Checkpoint // non-nil for live checkpoints
 }
 
-// NewLazyTrace opens a v3 trace lazily. budget is the decoded-segment
-// cache bound in bytes; <= 0 selects DefaultLRUBudget.
+// NewLazyTrace is the one trace opener. The header version selects the
+// decoder: a v3 container opens lazily through its seek index, while a
+// legacy v2 blob, which has no index, is decoded whole and transcoded to
+// v3 in memory, so it replays on the same reader. budget is the
+// decoded-segment cache bound in bytes; <= 0 selects DefaultLRUBudget.
 func NewLazyTrace(r io.ReaderAt, size int64, budget int64) (*LazyTrace, error) {
+	hdr := make([]byte, headerLen)
+	if _, err := r.ReadAt(hdr, 0); err != nil {
+		return nil, fmt.Errorf("replay: reading trace header: %w", err)
+	}
+	ver, err := parseHeader(hdr)
+	if err != nil {
+		return nil, err
+	}
+	if ver == traceVersionV2 {
+		var tr Trace
+		if err := readTraceV2(io.NewSectionReader(r, int64(headerLen), size-int64(headerLen)), &tr); err != nil {
+			return nil, err
+		}
+		var buf bytes.Buffer
+		if err := tr.Write(&buf); err != nil {
+			return nil, err
+		}
+		r, size = bytes.NewReader(buf.Bytes()), int64(buf.Len())
+	}
 	sr, err := NewSegmentReader(r, size)
 	if err != nil {
 		return nil, err
@@ -290,8 +315,10 @@ func NewLazyTrace(r io.ReaderAt, size int64, budget int64) (*LazyTrace, error) {
 	return lt, nil
 }
 
-// OpenLazyTraceFile opens a v3 trace file lazily; Close releases it.
-func OpenLazyTraceFile(path string, budget int64) (*LazyTrace, error) {
+// OpenSourceFile opens a trace file for replay through NewLazyTrace,
+// with resident memory bounded by the LRU budget (<= 0 selects
+// DefaultLRUBudget). Close releases the file.
+func OpenSourceFile(path string, budget int64) (*LazyTrace, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -310,37 +337,8 @@ func OpenLazyTraceFile(path string, budget int64) (*LazyTrace, error) {
 	return lt, nil
 }
 
-// OpenSourceFile opens a trace file for replay. A v3 container opens
-// lazily through its seek index, with resident memory bounded by the
-// LRU budget (<= 0 selects DefaultLRUBudget). A legacy v2 trace has no
-// index: it is read whole and transcoded to v3 in memory, so it
-// replays on the same reader. Close releases the file.
-func OpenSourceFile(path string, budget int64) (*LazyTrace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	hdr := make([]byte, len(traceMagic)+2)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("replay: reading trace header: %w", err)
-	}
-	f.Close()
-	if string(hdr[:len(traceMagic)]) != traceMagic {
-		return nil, fmt.Errorf("replay: %s is not a trace file", path)
-	}
-	if ver := int(hdr[len(traceMagic)]) | int(hdr[len(traceMagic)+1])<<8; ver == traceVersionV2 {
-		tr, err := ReadTraceFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return tr.lazy(budget)
-	}
-	return OpenLazyTraceFile(path, budget)
-}
-
 // Close releases the underlying file (when opened through
-// OpenLazyTraceFile) and drops the cache.
+// OpenSourceFile) and drops the cache.
 func (lt *LazyTrace) Close() error {
 	lt.cache.drop()
 	if lt.closer != nil {

@@ -3,6 +3,8 @@ package replay
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -61,25 +63,19 @@ func TestStreamedTrapDenseCrossEngine(t *testing.T) {
 		t.Fatalf("BytesWritten %d, stream holds %d", stats.BytesWritten, buf.Len())
 	}
 
-	tr, err := ReadTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := buf.Bytes()
+	tr := readBack(t, data)
 	if tr.EndDigest != stats.EndDigest || tr.EndInstr != stats.EndInstr || len(tr.Events) != stats.Events {
 		t.Fatalf("read-back mismatch: end digest %#x/%#x, instr %d/%d, events %d/%d",
 			tr.EndDigest, stats.EndDigest, tr.EndInstr, stats.EndInstr, len(tr.Events), stats.Events)
 	}
-	if len(tr.Segments) != stats.Segments {
-		t.Fatalf("segment index lists %d, recorder reported %d", len(tr.Segments), stats.Segments)
+	if segs := lazyOpen(t, data, 0).Reader().Segments(); len(segs) != stats.Segments {
+		t.Fatalf("segment index lists %d, recorder reported %d", len(segs), stats.Segments)
 	}
 
 	for _, slow := range []bool{false, true} {
 		m2, v2 := buildTrapDense(t, slow)
-		rp, err := NewReplayer(tr, m2, v2, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rp.RunToEnd(); err != nil {
+		if err := replayerFor(t, data, m2, v2, nil).RunToEnd(); err != nil {
 			t.Fatalf("streamed trace replay (slow=%v) diverged: %v", slow, err)
 		}
 	}
@@ -88,10 +84,7 @@ func TestStreamedTrapDenseCrossEngine(t *testing.T) {
 	// back across a delta checkpoint boundary, re-seek forward, and
 	// reverse-continue to a breakpoint crossing.
 	m3, v3 := buildTrapDense(t, false)
-	rp, err := NewReplayer(tr, m3, v3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rp := replayerFor(t, data, m3, v3, nil)
 	if len(tr.Checkpoints) < 4 {
 		t.Fatalf("need ≥4 checkpoints, got %d", len(tr.Checkpoints))
 	}
@@ -223,18 +216,16 @@ func (c *countWriter) Write(p []byte) (int, error) {
 // must land on identical digests at every checkpoint position when
 // seeking backwards from the end (forcing checkpoint restores).
 func TestDeltaRestoreDifferential(t *testing.T) {
-	record := func(keyEvery int) *Trace {
+	record := func(keyEvery int) []byte {
 		m, v := buildTrapDense(t, false)
-		rec := NewRecorder(m, v, nil, TraceMeta{Custom: true},
-			Options{SnapshotInterval: 15_000_000, KeyframeEvery: keyEvery})
-		rec.Start()
+		rec := startMem(t, m, v, nil, Options{SnapshotInterval: 15_000_000, KeyframeEvery: keyEvery})
 		if reason := m.Run(400_000_000); reason != machine.StopGuestDone {
 			t.Fatalf("record: stop %v", reason)
 		}
-		return rec.Finish()
+		return rec.finish(t)
 	}
-	trFull := record(1)
-	trDelta := record(4)
+	dataFull, dataDelta := record(1), record(4)
+	trFull, trDelta := readBack(t, dataFull), readBack(t, dataDelta)
 
 	if len(trFull.Checkpoints) != len(trDelta.Checkpoints) {
 		t.Fatalf("checkpoint counts differ: %d vs %d", len(trFull.Checkpoints), len(trDelta.Checkpoints))
@@ -255,15 +246,9 @@ func TestDeltaRestoreDifferential(t *testing.T) {
 	}
 
 	mF, vF := buildTrapDense(t, false)
-	rpF, err := NewReplayer(trFull, mF, vF, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rpF := replayerFor(t, dataFull, mF, vF, nil)
 	mD, vD := buildTrapDense(t, false)
-	rpD, err := NewReplayer(trDelta, mD, vD, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rpD := replayerFor(t, dataDelta, mD, vD, nil)
 
 	// Walk the checkpoints newest-first so every seek is a backwards one:
 	// the delta replayer must materialize each chain, not just re-execute.
@@ -292,20 +277,16 @@ func TestDeltaRestoreDifferential(t *testing.T) {
 // a silently truncated trace: the recorder reports the error at (or
 // before) FinishStream, and Trace.Write fails loudly too.
 func TestStreamWriteErrorPropagation(t *testing.T) {
-	// In-memory trace written through a failing writer: every failure
-	// offset must surface an error.
+	// A trace written through a failing writer: every failure offset
+	// must surface an error.
 	m, v := buildTrapDense(t, false)
-	rec := NewRecorder(m, v, nil, TraceMeta{Custom: true}, Options{SnapshotInterval: 30_000_000})
-	rec.Start()
+	rec := startMem(t, m, v, nil, Options{SnapshotInterval: 30_000_000})
 	if reason := m.Run(200_000_000); reason == machine.StopWedged {
 		t.Fatal("guest wedged")
 	}
-	tr := rec.Finish()
-	var full bytes.Buffer
-	if err := tr.Write(&full); err != nil {
-		t.Fatal(err)
-	}
-	for _, limit := range []int64{0, 1, 9, 300, int64(full.Len()) - 1} {
+	tr := readBack(t, rec.finish(t))
+	full := encode(t, tr)
+	for _, limit := range []int64{0, 1, 9, 300, int64(len(full)) - 1} {
 		if err := tr.Write(&failWriter{limit: limit}); err == nil {
 			t.Fatalf("Write through a sink failing at byte %d reported success", limit)
 		}
@@ -368,44 +349,41 @@ func TestTruncatedStreamRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	if _, err := ReadTrace(bytes.NewReader(data)); err != nil {
+	if _, err := NewLazyTrace(bytes.NewReader(data), int64(len(data)), 0); err != nil {
 		t.Fatalf("complete stream rejected: %v", err)
 	}
 	for _, cut := range []int{len(data) - 1, len(data) - 8, len(data) / 2, 64, 11} {
-		if _, err := ReadTrace(bytes.NewReader(data[:cut])); err == nil {
+		if _, err := NewLazyTrace(bytes.NewReader(data[:cut]), int64(cut), 0); err == nil {
 			t.Fatalf("stream truncated to %d of %d bytes accepted as complete", cut, len(data))
 		}
 	}
 }
 
-// TestV2RoundTripThroughCompatLoader reads the committed v2 golden trace
-// through the compatibility loader, round-trips it through the v3
-// writer (the transcode every v2 replay runs on), and replays it.
+// TestV2RoundTripThroughCompatLoader decodes the committed v2 golden
+// trace with the compatibility loader, round-trips it through the v3
+// writer, and checks that the opener's transcode of the file is exactly
+// that container and replays.
 func TestV2RoundTripThroughCompatLoader(t *testing.T) {
-	tr, err := ReadTraceFile(goldenV2Path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := readGoldenV2(t)
 	if tr.Meta.Version != 2 {
 		t.Fatalf("compat loader reports version %d, want 2", tr.Meta.Version)
 	}
-	if len(tr.Segments) != 0 {
-		t.Fatalf("v2 blob loaded with a %d-entry segment index", len(tr.Segments))
-	}
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	tr3, err := ReadTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	v3 := encode(t, tr)
+	tr3 := readBack(t, v3)
 	if tr3.Meta.Version != TraceVersion || tr3.EndDigest != tr.EndDigest ||
 		len(tr3.Events) != len(tr.Events) || len(tr3.Checkpoints) != len(tr.Checkpoints) {
 		t.Fatal("v2 to v3 round trip lost data")
 	}
+	data, err := os.ReadFile(goldenV2Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lt := lazyOpen(t, data, 0)
+	if got := lt.Reader().Segments(); !reflect.DeepEqual(got, lazyOpen(t, v3, 0).Reader().Segments()) {
+		t.Fatal("the opener's v2 transcode is not Trace.Write of the blob")
+	}
 	m, v, recv := buildGolden(t, tr.Meta)
-	rp, err := NewReplayer(tr, m, v, recv)
+	rp, err := NewReplayerSource(lt, m, v, recv)
 	if err != nil {
 		t.Fatal(err)
 	}

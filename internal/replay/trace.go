@@ -19,8 +19,10 @@
 // event batches, keyframe snapshots, delta snapshots of only the RAM pages
 // dirtied since the previous checkpoint — to an io.Writer as recording
 // proceeds, so resident memory stays proportional to one segment rather
-// than the whole run, and a seek index is written as a footer. Monolithic
-// v2 traces remain readable through the compatibility loader.
+// than the whole run, and a seek index is written as a footer. A trace
+// exists only as those bytes: NewLazyTrace is the one opener, and a
+// monolithic v2 file is transcoded to v3 there, so it replays on the
+// same reader.
 //
 // On top of seekable replay the package implements time travel: reverse-
 // step and reverse-continue restore the nearest snapshot and re-execute
@@ -37,13 +39,11 @@
 package replay
 
 import (
-	"bytes"
 	"compress/gzip"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
-	"math"
 	"os"
 
 	"lvmm/internal/fault"
@@ -64,6 +64,25 @@ const traceVersionV2 = 2
 
 // traceMagic identifies a trace file.
 const traceMagic = "LVMMTRC\n"
+
+// headerLen is the size of the file header: traceMagic followed by the
+// format version as a little-endian uint16.
+const headerLen = len(traceMagic) + 2
+
+// parseHeader is the one check of a trace file header. It returns the
+// format version, which is TraceVersion or traceVersionV2: any other
+// version is refused here, so callers dispatch on the result.
+func parseHeader(hdr []byte) (int, error) {
+	if len(hdr) < headerLen || string(hdr[:len(traceMagic)]) != traceMagic {
+		return 0, fmt.Errorf("replay: not a trace file")
+	}
+	ver := int(binary.LittleEndian.Uint16(hdr[len(traceMagic):]))
+	if ver != TraceVersion && ver != traceVersionV2 {
+		return 0, fmt.Errorf("replay: trace version %d, want %d (or legacy %d)",
+			ver, TraceVersion, traceVersionV2)
+	}
+	return ver, nil
+}
 
 // EventKind classifies trace events.
 type EventKind uint8
@@ -166,10 +185,11 @@ type TraceMeta struct {
 	Salvaged bool
 }
 
-// Trace is a complete recorded run held in memory: what ReadTrace loads
-// and what NewRecorder's Finish returns (its own stream, read back).
-// Replaying one goes through the same lazy reader a trace file does —
-// see Lazy.
+// Trace is a recorded run held in memory, the input of Write, the one
+// sequential container writer. A decoded v2 blob, a timeline built by
+// hand, and the reference the async recording pipeline is checked
+// against all take this form; a recording itself never does, since the
+// Recorder streams the container and replay opens the bytes.
 type Trace struct {
 	Meta        TraceMeta
 	Events      []Event
@@ -178,21 +198,8 @@ type Trace struct {
 	// End-of-recording state, for replay verification.
 	EndCycle  uint64
 	EndInstr  uint64
-	EndReason int // machine.StopReason at Finish time
+	EndReason int // machine.StopReason when recording stopped
 	EndDigest uint64
-
-	// Segments is the seek index of the container the trace was loaded
-	// from (offsets, kinds, on-disk sizes). Empty for v2 files and for
-	// traces built by hand.
-	Segments []SegmentInfo
-}
-
-// StartInstr returns the instruction count at the beginning of the trace.
-func (t *Trace) StartInstr() uint64 {
-	if len(t.Checkpoints) == 0 {
-		return 0
-	}
-	return t.Checkpoints[0].Instr
 }
 
 // cpLite is the slice of checkpoint state the chain validator needs.
@@ -206,8 +213,9 @@ type cpLite struct {
 // every delta's base chain resolves strictly backwards on the timeline
 // and terminates in a keyframe, so a restore can neither walk off the
 // trace nor resolve a base to the wrong checkpoint at seek time.
-// Resident traces run it over all their checkpoints, salvage over the
-// ones its scan kept.
+// Salvage runs it over the checkpoints its scan kept; an opened trace
+// gets the same guarantees from NewSegmentReader (unique ids) and from
+// the replayer's chain walk (bases earlier on the timeline).
 func checkChains(cps []cpLite) error {
 	byIdx := make(map[int]int, len(cps))
 	for i, cp := range cps {
@@ -233,19 +241,6 @@ func checkChains(cps []cpLite) error {
 				return fmt.Errorf("delta checkpoint chain does not terminate")
 			}
 		}
-	}
-	return nil
-}
-
-// validateChains runs checkChains over the trace's checkpoints.
-func (t *Trace) validateChains() error {
-	cps := make([]cpLite, len(t.Checkpoints))
-	for i := range t.Checkpoints {
-		cp := &t.Checkpoints[i]
-		cps[i] = cpLite{Index: cp.Index, Base: cp.Base, Delta: cp.Delta, Instr: cp.Instr}
-	}
-	if err := checkChains(cps); err != nil {
-		return fmt.Errorf("replay: %w", err)
 	}
 	return nil
 }
@@ -309,105 +304,11 @@ func (t *Trace) Write(w io.Writer) error {
 	return sw.finish()
 }
 
-// ReadTrace deserializes a trace written by Write (v3) or by the legacy
-// v2 writer.
-func ReadTrace(r io.Reader) (*Trace, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("replay: reading trace: %w", err)
-	}
-	return readTraceAt(bytes.NewReader(data), int64(len(data)))
-}
-
-// ReadTraceFile loads a trace from path.
-func ReadTraceFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	return readTraceAt(f, fi.Size())
-}
-
-// readTraceAt loads a whole trace. A v3 container decodes every indexed
-// segment through SegmentReader — the lazy replay path's decoder, so a
-// resident trace and a lazily opened one cannot disagree about a byte.
-func readTraceAt(ra io.ReaderAt, size int64) (*Trace, error) {
-	hdr := make([]byte, len(traceMagic)+2)
-	if _, err := ra.ReadAt(hdr, 0); err != nil {
-		return nil, fmt.Errorf("replay: reading trace header: %w", err)
-	}
-	if string(hdr[:len(traceMagic)]) != traceMagic {
-		return nil, fmt.Errorf("replay: not a trace file")
-	}
-	var t Trace
-	switch ver := int(hdr[len(traceMagic)]) | int(hdr[len(traceMagic)+1])<<8; ver {
-	case TraceVersion:
-		sr, err := NewSegmentReader(ra, size)
-		if err != nil {
-			return nil, err
-		}
-		t.Meta, t.Segments = sr.meta, sr.segs
-		t.EndCycle, t.EndInstr, t.EndReason, t.EndDigest = sr.End()
-		for i, si := range sr.segs {
-			switch {
-			case si.IsEvents():
-				batch, err := sr.DecodeEvents(i)
-				if err != nil {
-					return nil, err
-				}
-				t.Events = append(t.Events, batch...)
-			case si.IsSnapshot():
-				cp, err := sr.DecodeCheckpoint(i)
-				if err != nil {
-					return nil, err
-				}
-				t.Checkpoints = append(t.Checkpoints, *cp)
-			}
-		}
-	case traceVersionV2:
-		body := io.NewSectionReader(ra, int64(len(hdr)), size-int64(len(hdr)))
-		if err := readTraceV2(body, &t); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("replay: trace version %d, want %d (or legacy %d)",
-			ver, TraceVersion, traceVersionV2)
-	}
-	if len(t.Checkpoints) == 0 {
-		return nil, fmt.Errorf("replay: trace has no checkpoints")
-	}
-	if err := t.validateChains(); err != nil {
-		return nil, err
-	}
-	return &t, nil
-}
-
-// Lazy re-encodes the trace with Write and opens the bytes through the
-// seek-index reader with an unbounded cache, the form every replay runs
-// on. Delta chains are validated first, since the lazy reader only
-// checks a chain when a restore walks it.
-func (t *Trace) Lazy() (*LazyTrace, error) { return t.lazy(math.MaxInt64) }
-
-func (t *Trace) lazy(budget int64) (*LazyTrace, error) {
-	if err := t.validateChains(); err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := t.Write(&buf); err != nil {
-		return nil, err
-	}
-	return NewLazyTrace(bytes.NewReader(buf.Bytes()), int64(buf.Len()), budget)
-}
-
-// readTraceV2 is the compatibility loader for the monolithic format.
-// Old checkpoints are all full snapshots (Delta decodes as false) whose
-// Index already equals their position, so they drop straight into the
-// v3 in-memory representation.
+// readTraceV2 is the compatibility loader for the monolithic format,
+// reading the blob that follows the header. Old checkpoints are all
+// full snapshots (Delta decodes as false) whose Index already equals
+// their position, so they drop straight into a Trace that Write
+// transcodes to v3.
 func readTraceV2(r io.Reader, t *Trace) error {
 	zr, err := gzip.NewReader(r)
 	if err != nil {
@@ -427,23 +328,7 @@ func readTraceV2(r io.Reader, t *Trace) error {
 	if t.Meta.Version != traceVersionV2 {
 		return fmt.Errorf("replay: trace meta version %d, want %d", t.Meta.Version, traceVersionV2)
 	}
-	t.Segments = nil
 	return nil
-}
-
-// WriteFile saves the trace to path, propagating write and close errors
-// (a short write anywhere — including at Close, where buffered bytes
-// land — fails the save instead of leaving a silently truncated trace).
-func (t *Trace) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // ReadTraceMetaFile reads only a trace's metadata. A v3 container puts
@@ -457,16 +342,15 @@ func ReadTraceMetaFile(path string) (TraceMeta, error) {
 		return TraceMeta{}, err
 	}
 	defer f.Close()
-	magic := make([]byte, len(traceMagic)+2)
+	magic := make([]byte, headerLen)
 	if _, err := io.ReadFull(f, magic); err != nil {
 		return TraceMeta{}, fmt.Errorf("replay: reading trace header: %w", err)
 	}
-	if string(magic[:len(traceMagic)]) != traceMagic {
-		return TraceMeta{}, fmt.Errorf("replay: not a trace file")
+	ver, err := parseHeader(magic)
+	if err != nil {
+		return TraceMeta{}, err
 	}
-	ver := int(magic[len(traceMagic)]) | int(magic[len(traceMagic)+1])<<8
-	switch ver {
-	case TraceVersion:
+	if ver == TraceVersion {
 		var hdr [9]byte
 		if _, err := io.ReadFull(f, hdr[:]); err != nil {
 			return TraceMeta{}, fmt.Errorf("replay: truncated trace: %w", err)
@@ -487,13 +371,10 @@ func ReadTraceMetaFile(path string) (TraceMeta, error) {
 			return TraceMeta{}, fmt.Errorf("replay: decoding trace meta: %w", err)
 		}
 		return meta, nil
-	case traceVersionV2:
-		var t Trace
-		if err := readTraceV2(f, &t); err != nil {
-			return TraceMeta{}, err
-		}
-		return t.Meta, nil
 	}
-	return TraceMeta{}, fmt.Errorf("replay: trace version %d, want %d (or legacy %d)",
-		ver, TraceVersion, traceVersionV2)
+	var t Trace
+	if err := readTraceV2(f, &t); err != nil {
+		return TraceMeta{}, err
+	}
+	return t.Meta, nil
 }

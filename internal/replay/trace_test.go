@@ -2,20 +2,20 @@ package replay
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/gob"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
 func TestNearestCheckpoint(t *testing.T) {
-	tr := &Trace{Checkpoints: []Checkpoint{
+	lt := lazyOpen(t, encode(t, &Trace{Checkpoints: []Checkpoint{
 		{Index: 0, Instr: 0},
 		{Index: 1, Instr: 100},
 		{Index: 2, Instr: 250},
-	}}
-	lt, err := tr.Lazy()
-	if err != nil {
-		t.Fatal(err)
-	}
+	}}), 0)
 	cases := []struct {
 		pos  uint64
 		want int
@@ -27,20 +27,29 @@ func TestNearestCheckpoint(t *testing.T) {
 			t.Errorf("nearestCheckpointIdx(%d) = %d, want %d", c.pos, got, c.want)
 		}
 	}
-	if tr.StartInstr() != 0 || lt.StartInstr() != 0 {
-		t.Errorf("StartInstr = %d / %d", tr.StartInstr(), lt.StartInstr())
+	if lt.StartInstr() != 0 {
+		t.Errorf("StartInstr = %d", lt.StartInstr())
 	}
 }
 
-func TestReadTraceRejectsGarbage(t *testing.T) {
-	if _, err := ReadTrace(bytes.NewReader([]byte("not a trace at all"))); err == nil {
-		t.Fatal("garbage accepted as a trace")
-	}
-	// Right magic, wrong version.
-	bad := append([]byte(traceMagic), 0xFF, 0xFF)
-	_, err := ReadTrace(bytes.NewReader(bad))
-	if err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("version mismatch not rejected: %v", err)
+// TestOpenRejectsGarbage: the opener refuses input whose header is not
+// a trace header (parseHeader), and a v2 header over a blob that does
+// not decode.
+func TestOpenRejectsGarbage(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"not a trace", []byte("not a trace at all"), "not a trace"},
+		{"magic only", []byte(traceMagic), "header"},
+		{"wrong version", append([]byte(traceMagic), 0xFF, 0xFF, 0, 0), "version"},
+		{"v2 garbage", append([]byte(traceMagic), traceVersionV2, 0, 1, 2, 3), "trace payload"},
+	} {
+		_, err := NewLazyTrace(bytes.NewReader(c.data), int64(len(c.data)), 0)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: opener returned %v, want an error naming %q", c.name, err, c.want)
+		}
 	}
 }
 
@@ -94,26 +103,98 @@ func TestDecodeSegmentChecksCRC(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsDuplicateCheckpointIDs pins that a container in which
-// two snapshot segments carry the same checkpoint id is refused at open
-// by both the lazy and the resident reader: a delta resolves its base by
-// id, so a seek could otherwise restore onto the wrong checkpoint.
-func TestOpenRejectsDuplicateCheckpointIDs(t *testing.T) {
-	tr := &Trace{Checkpoints: []Checkpoint{
-		{Index: 0, Instr: 0},
-		{Index: 0, Instr: 100},
-	}}
+// v2Blob encodes a trace as a legacy v2 file: the header, then one
+// gzip(gob) blob of the whole Trace.
+func v2Blob(t *testing.T, tr *Trace) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
+	buf.WriteString(traceMagic)
+	buf.Write([]byte{traceVersionV2, 0})
+	zw := gzip.NewWriter(&buf)
+	if err := gob.NewEncoder(zw).Encode(tr); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewLazyTrace(bytes.NewReader(buf.Bytes()), int64(buf.Len()), 0); err == nil {
-		t.Error("NewLazyTrace accepted duplicate checkpoint ids")
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ReadTrace(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Error("ReadTrace accepted duplicate checkpoint ids")
+	return buf.Bytes()
+}
+
+// TestOpenRejectsDuplicateCheckpointIDs pins that a trace in which two
+// checkpoints carry the same id is refused at open, whether it is a v3
+// container or a v2 blob the opener transcodes: a delta resolves its
+// base by id, so a seek could otherwise restore onto the wrong
+// checkpoint. The check lives in NewSegmentReader, which both paths
+// reach.
+func TestOpenRejectsDuplicateCheckpointIDs(t *testing.T) {
+	tr := &Trace{
+		Meta: TraceMeta{Version: traceVersionV2, Custom: true},
+		Checkpoints: []Checkpoint{
+			{Index: 0, Instr: 0},
+			{Index: 0, Instr: 100},
+		},
 	}
-	if _, err := tr.Lazy(); err == nil {
-		t.Error("Trace.Lazy accepted duplicate checkpoint ids")
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{{"v3", encode(t, tr)}, {"v2", v2Blob(t, tr)}} {
+		_, err := NewLazyTrace(bytes.NewReader(c.data), int64(len(c.data)), 0)
+		if err == nil || !strings.Contains(err.Error(), "twice") {
+			t.Errorf("%s: opener returned %v for duplicate checkpoint ids", c.name, err)
+		}
+	}
+	// The v2 blob is otherwise well formed: with distinct ids it opens.
+	tr.Checkpoints[1].Index = 1
+	data := v2Blob(t, tr)
+	if lt := lazyOpen(t, data, 0); lt.NumCheckpoints() != 2 {
+		t.Fatalf("v2 blob opened with %d checkpoints, want 2", lt.NumCheckpoints())
+	}
+}
+
+// TestReadTraceMetaFile pins the metadata reader farm ingest and
+// hxreplay info use: it reports the file's own format version, reads a
+// v3 file's meta from the first segment alone (so a file cut just after
+// it still answers), and refuses what is not a trace.
+func TestReadTraceMetaFile(t *testing.T) {
+	v3 := streamTrapDense(t, Options{SnapshotInterval: 50_000_000})
+	bounds := segmentBoundaries(t, v3)
+	dir := t.TempDir()
+	write := func(name string, data []byte) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	for _, c := range []struct {
+		name    string
+		path    string
+		version int // 0: an error is expected
+	}{
+		{"v2 golden", goldenV2Path, traceVersionV2},
+		{"v3", write("full.trc", v3), TraceVersion},
+		{"v3 cut after meta", write("cut.trc", v3[:bounds[1]]), TraceVersion},
+		{"v3 cut inside meta", write("inside.trc", v3[:bounds[1]-1]), 0},
+		{"not a trace", write("text.trc", []byte("not a trace at all")), 0},
+		{"wrong version", write("ver.trc", append([]byte(traceMagic), 0xFF, 0xFF, 0, 0)), 0},
+		{"empty", write("empty.trc", nil), 0},
+	} {
+		meta, err := ReadTraceMetaFile(c.path)
+		if c.version == 0 {
+			if err == nil {
+				t.Errorf("%s: accepted, meta %+v", c.name, meta)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if meta.Version != c.version {
+			t.Errorf("%s: version %d, want %d", c.name, meta.Version, c.version)
+		}
+		if c.version == TraceVersion && !meta.Custom {
+			t.Errorf("%s: meta lost the Custom marker: %+v", c.name, meta)
+		}
 	}
 }

@@ -23,6 +23,7 @@ package lvmm
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"lvmm/internal/debugger"
 	"lvmm/internal/fault"
@@ -96,7 +97,11 @@ func WorkloadDefaults(rateMbps float64) Workload {
 	}
 }
 
-func (w Workload) params() guest.Params {
+// params resolves the workload's defaults into boot parameters. The boot
+// info carries the run length as a uint32 tick count; a float
+// conversion out of that range (NaN and ±Inf included) is
+// implementation-dependent, so such a length is refused.
+func (w Workload) params() (guest.Params, error) {
 	p := guest.DefaultParams(w.RateMbps)
 	if w.SegmentBytes != 0 {
 		p.SegmentBytes = w.SegmentBytes
@@ -112,11 +117,15 @@ func (w Workload) params() guest.Params {
 	if secs == 0 {
 		secs = 0.5
 	}
-	p.DurationTicks = uint32(secs * float64(p.TickHz))
+	ticks := secs * float64(p.TickHz)
+	if !(ticks >= 0 && ticks <= math.MaxUint32) {
+		return guest.Params{}, fmt.Errorf("lvmm: run length %g s is not encodable at %d Hz", w.Seconds, p.TickHz)
+	}
+	p.DurationTicks = uint32(ticks)
 	if p.DurationTicks == 0 {
 		p.DurationTicks = 1
 	}
-	return p
+	return p, nil
 }
 
 // Target is a booted guest on one of the three platforms.
@@ -146,7 +155,11 @@ func NewStreamingTarget(p Platform, w Workload) (*Target, error) {
 // metadata of any recording made from the target. A nil or empty plan
 // is identical to NewStreamingTarget.
 func NewStreamingTargetFaulty(p Platform, w Workload, plan *FaultPlan) (*Target, error) {
-	return newStreamingTarget(p, w.params(), 0, plan)
+	params, err := w.params()
+	if err != nil {
+		return nil, err
+	}
+	return newStreamingTarget(p, params, 0, plan)
 }
 
 // ParsePlatform resolves a command-line platform name (bare, lightweight,
@@ -269,22 +282,12 @@ func (t *Target) Debugger() (*debugger.Client, error) {
 // RecordOptions re-exports replay.Options.
 type RecordOptions = replay.Options
 
-// Record begins recording the target's execution: external inputs,
-// interrupt/timer/frame timelines, and periodic full-state snapshots.
-// Call before the first Run; call Finish on the returned recorder when
-// the run is over to obtain the trace.
-func (t *Target) Record(opts RecordOptions) *replay.Recorder {
-	rec := replay.NewRecorder(t.sys.M, t.sys.Mon, t.sys.Recv, t.sys.TraceMeta(), opts)
-	rec.Start()
-	return rec
-}
-
 // RecordStream begins recording straight to w in the streaming v3 trace
 // format: event batches, keyframes, and delta snapshots flush as the run
 // proceeds, so recorder memory stays bounded regardless of run length.
-// Record streams the same bytes into memory instead.
-// Call FinishStream on the returned recorder when the run is over (and
-// close w yourself if it is a file).
+// To keep the trace in memory, record into a bytes.Buffer and open it
+// with replay.NewLazyTrace. Call FinishStream on the returned recorder
+// when the run is over (and close w yourself if it is a file).
 func (t *Target) RecordStream(w io.Writer, opts RecordOptions) (*replay.Recorder, error) {
 	rec, err := replay.NewStreamRecorder(w, t.sys.M, t.sys.Mon, t.sys.Recv, t.sys.TraceMeta(), opts)
 	if err != nil {
@@ -303,21 +306,10 @@ type ReplayTarget struct {
 	rp *replay.Replayer
 }
 
-// Replay rebuilds the recorded target from a trace and rewinds it to the
-// trace's initial checkpoint. The trace replays through replay.Trace.Lazy,
-// the same seek-index reader a trace file opens with.
-func Replay(tr *replay.Trace) (*ReplayTarget, error) {
-	lt, err := tr.Lazy()
-	if err != nil {
-		return nil, err
-	}
-	return ReplaySource(lt)
-}
-
-// ReplaySource rebuilds the recorded target from a lazily opened trace
-// (see replay.OpenSourceFile) and rewinds it to the trace's initial
-// checkpoint. The replay session's resident trace data stays bounded by
-// the LRU budget however long the recording is.
+// ReplaySource rebuilds the recorded target from an opened trace (see
+// replay.NewLazyTrace and replay.OpenSourceFile) and rewinds it to the
+// trace's initial checkpoint. The replay session's resident trace data
+// stays bounded by the LRU budget however long the recording is.
 func ReplaySource(src *replay.LazyTrace) (*ReplayTarget, error) {
 	meta := src.Meta()
 	if meta.Custom {

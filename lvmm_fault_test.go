@@ -110,15 +110,21 @@ func TestFaultPlanRecordsAndReplaysBitIdentically(t *testing.T) {
 	// faults appear as events, and the rebuilt machine re-executes to
 	// the recorded outcome.
 	for i, r := range res1 {
-		tr, err := replay.ReadTraceFile(r.TracePath)
+		src, err := replay.OpenSourceFile(r.TracePath, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tr.Meta.Fault.Empty() || tr.Meta.Fault.Name != "chaos" {
+		if plan := src.Meta().Fault; plan.Empty() || plan.Name != "chaos" {
+			src.Close()
 			t.Fatalf("%s: fault plan missing from trace metadata", r.TracePath)
 		}
 		faultEvents := uint64(0)
-		for _, ev := range tr.Events {
+		for j := 0; j < src.NumEvents(); j++ {
+			ev, err := src.Event(j)
+			if err != nil {
+				src.Close()
+				t.Fatal(err)
+			}
 			if ev.Kind == replay.EvFault {
 				faultEvents++
 			}
@@ -128,10 +134,6 @@ func TestFaultPlanRecordsAndReplaysBitIdentically(t *testing.T) {
 				r.TracePath, faultEvents, r.FaultsInjected)
 		}
 
-		src, err := replay.OpenSourceFile(r.TracePath, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
 		rt, err := ReplaySource(src)
 		if err != nil {
 			src.Close()

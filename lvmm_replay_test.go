@@ -18,6 +18,75 @@ func memHash(t *Target) uint64 {
 	return h.Sum64()
 }
 
+// recordRun runs target to completion under a recorder streaming into
+// memory, and returns the sealed trace bytes and the run's statistics.
+func recordRun(t *testing.T, target *Target, opts RecordOptions) ([]byte, RunStats) {
+	t.Helper()
+	var buf bytes.Buffer
+	rec, err := target.RecordStream(&buf, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := target.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rec.FinishStream(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), stats
+}
+
+// openTrace opens trace bytes through the one trace opener.
+func openTrace(t *testing.T, data []byte) *replay.LazyTrace {
+	t.Helper()
+	lt, err := replay.NewLazyTrace(bytes.NewReader(data), int64(len(data)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lt
+}
+
+// replayTrace rebuilds the recorded target from trace bytes, on a source
+// of its own: live checkpoints a session inserts stay in its source.
+func replayTrace(t *testing.T, data []byte) *ReplayTarget {
+	t.Helper()
+	rt, err := ReplaySource(openTrace(t, data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt
+}
+
+// residentCopy rebuilds an opened trace as a replay.Trace through the
+// source's accessors, for tests that rewrite a recorded timeline.
+func residentCopy(t *testing.T, lt *replay.LazyTrace) *replay.Trace {
+	t.Helper()
+	tr := &replay.Trace{Meta: lt.Meta()}
+	tr.EndCycle, tr.EndInstr, tr.EndReason, tr.EndDigest = lt.End()
+	for i := 0; i < lt.NumEvents(); i++ {
+		ev, err := lt.Event(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Events = append(tr.Events, ev)
+	}
+	for i := 0; i < lt.NumCheckpoints(); i++ {
+		cp, err := lt.Checkpoint(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Checkpoints = append(tr.Checkpoints, *cp)
+	}
+	return tr
+}
+
+// endDigest is the recorded final state digest of a trace.
+func endDigest(lt *replay.LazyTrace) uint64 {
+	_, _, _, d := lt.End()
+	return d
+}
+
 // TestRecordReplayBitIdentical is the tentpole determinism property: a
 // recorded streaming run replays bit-identically — same final statistics,
 // register file, memory hash, and cycle count.
@@ -28,24 +97,17 @@ func TestRecordReplayBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := target.Record(RecordOptions{SnapshotInterval: 60_000_000})
-	stats1, err := target.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := rec.Finish()
+	data, stats1 := recordRun(t, target, RecordOptions{SnapshotInterval: 60_000_000})
 
-	if len(tr.Checkpoints) < 2 {
-		t.Fatalf("expected a mid-run snapshot, got %d checkpoints", len(tr.Checkpoints))
+	lt := openTrace(t, data)
+	if lt.NumCheckpoints() < 2 {
+		t.Fatalf("expected a mid-run snapshot, got %d checkpoints", lt.NumCheckpoints())
 	}
-	if len(tr.Events) == 0 {
+	if lt.NumEvents() == 0 {
 		t.Fatal("no events recorded")
 	}
 
-	rt, err := Replay(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := replayTrace(t, data)
 	stats2, err := rt.Run()
 	if err != nil {
 		t.Fatalf("replay diverged: %v", err)
@@ -67,7 +129,7 @@ func TestRecordReplayBitIdentical(t *testing.T) {
 	if target.Machine().Clock() != rt.Machine().Clock() {
 		t.Fatalf("clocks differ: %d vs %d", target.Machine().Clock(), rt.Machine().Clock())
 	}
-	if got, want := replay.Digest(rt.Machine(), rt.Monitor()), tr.EndDigest; got != want {
+	if got, want := replay.Digest(rt.Machine(), rt.Monitor()), endDigest(lt); got != want {
 		t.Fatalf("digest %#x, recorded %#x", got, want)
 	}
 }
@@ -84,22 +146,16 @@ func TestReverseStepAcrossSnapshotBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := target.Record(RecordOptions{SnapshotInterval: 40_000_000})
-	if _, err := target.Run(); err != nil {
-		t.Fatal(err)
-	}
-	tr := rec.Finish()
-	if len(tr.Checkpoints) < 3 {
-		t.Fatalf("need ≥3 checkpoints, got %d", len(tr.Checkpoints))
+	data, _ := recordRun(t, target, RecordOptions{SnapshotInterval: 40_000_000})
+	lt := openTrace(t, data)
+	if lt.NumCheckpoints() < 3 {
+		t.Fatalf("need ≥3 checkpoints, got %d", lt.NumCheckpoints())
 	}
 
-	rt, err := Replay(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := replayTrace(t, data)
 	rp := rt.Replayer()
 
-	cp1, cp2 := tr.Checkpoints[1].Instr, tr.Checkpoints[2].Instr
+	cp1, cp2 := lt.CheckpointMeta(1).Instr, lt.CheckpointMeta(2).Instr
 	posA := cp2 + 500
 	if err := rp.SeekInstr(posA); err != nil {
 		t.Fatal(err)
@@ -155,19 +211,12 @@ func TestTimeTravelEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := target.Record(RecordOptions{SnapshotInterval: 40_000_000})
-	if _, err := target.Run(); err != nil {
-		t.Fatal(err)
-	}
-	tr := rec.Finish()
-	if len(tr.Checkpoints) < 2 {
-		t.Fatalf("need a mid-run snapshot, got %d checkpoints", len(tr.Checkpoints))
+	data, _ := recordRun(t, target, RecordOptions{SnapshotInterval: 40_000_000})
+	if n := openTrace(t, data).NumCheckpoints(); n < 2 {
+		t.Fatalf("need a mid-run snapshot, got %d checkpoints", n)
 	}
 
-	rt, err := Replay(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := replayTrace(t, data)
 	dbg, err := rt.Debugger()
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +337,7 @@ func TestTimeTravelEndToEnd(t *testing.T) {
 // neutral, disqualifying bursts (cpu.BurstSafe), i.e. the seed-equivalent
 // engine.
 func TestCrossEngineRecordReplay(t *testing.T) {
-	record := func(slow bool) (*replay.Trace, RunStats) {
+	record := func(slow bool) (*replay.LazyTrace, []byte, RunStats) {
 		w := WorkloadDefaults(100)
 		w.Seconds = 0.15
 		target, err := NewStreamingTarget(Lightweight, w)
@@ -298,18 +347,11 @@ func TestCrossEngineRecordReplay(t *testing.T) {
 		if slow {
 			target.Machine().CPU.ForceSlowEngine(true)
 		}
-		rec := target.Record(RecordOptions{SnapshotInterval: 60_000_000})
-		stats, err := target.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rec.Finish(), stats
+		data, stats := recordRun(t, target, RecordOptions{SnapshotInterval: 60_000_000})
+		return openTrace(t, data), data, stats
 	}
-	rerun := func(tr *replay.Trace, slow bool) (RunStats, *ReplayTarget) {
-		rt, err := Replay(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
+	rerun := func(data []byte, slow bool) (RunStats, *ReplayTarget) {
+		rt := replayTrace(t, data)
 		if slow {
 			rt.Machine().CPU.ForceSlowEngine(true)
 		}
@@ -321,31 +363,31 @@ func TestCrossEngineRecordReplay(t *testing.T) {
 	}
 
 	// Record slow (seed path), replay fast (batched engine).
-	trSlow, statsSlow := record(true)
-	if len(trSlow.Events) == 0 {
+	trSlow, dataSlow, statsSlow := record(true)
+	if trSlow.NumEvents() == 0 {
 		t.Fatal("no events recorded")
 	}
-	gotFast, rtFast := rerun(trSlow, false)
+	gotFast, rtFast := rerun(dataSlow, false)
 	if gotFast != statsSlow {
 		t.Fatalf("slow-recorded trace under batched engine:\n  recorded: %v\n  replayed: %v", statsSlow, gotFast)
 	}
-	if got := replay.Digest(rtFast.Machine(), rtFast.Monitor()); got != trSlow.EndDigest {
-		t.Fatalf("digest %#x, recorded %#x", got, trSlow.EndDigest)
+	if got := replay.Digest(rtFast.Machine(), rtFast.Monitor()); got != endDigest(trSlow) {
+		t.Fatalf("digest %#x, recorded %#x", got, endDigest(trSlow))
 	}
 
 	// Record fast, replay slow — and the two recordings must agree with
 	// each other tick for tick.
-	trFast, statsFast := record(false)
+	trFast, dataFast, statsFast := record(false)
 	if statsFast != statsSlow {
 		t.Fatalf("engines recorded different runs:\n  slow: %v\n  fast: %v", statsSlow, statsFast)
 	}
-	if trFast.EndCycle != trSlow.EndCycle || trFast.EndInstr != trSlow.EndInstr ||
-		trFast.EndDigest != trSlow.EndDigest || len(trFast.Events) != len(trSlow.Events) {
+	sc, si, _, sd := trSlow.End()
+	fc, fi, _, fd := trFast.End()
+	if fc != sc || fi != si || fd != sd || trFast.NumEvents() != trSlow.NumEvents() {
 		t.Fatalf("timelines differ: slow (cycle=%d instr=%d digest=%#x events=%d), fast (cycle=%d instr=%d digest=%#x events=%d)",
-			trSlow.EndCycle, trSlow.EndInstr, trSlow.EndDigest, len(trSlow.Events),
-			trFast.EndCycle, trFast.EndInstr, trFast.EndDigest, len(trFast.Events))
+			sc, si, sd, trSlow.NumEvents(), fc, fi, fd, trFast.NumEvents())
 	}
-	gotSlow, _ := rerun(trFast, true)
+	gotSlow, _ := rerun(dataFast, true)
 	if gotSlow != statsFast {
 		t.Fatalf("fast-recorded trace under slow engine:\n  recorded: %v\n  replayed: %v", statsFast, gotSlow)
 	}
@@ -364,22 +406,14 @@ func TestRecordOnChainedTierReplaysOnSlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := target.Record(RecordOptions{SnapshotInterval: 60_000_000})
-	stats, err := target.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := rec.Finish()
+	data, stats := recordRun(t, target, RecordOptions{SnapshotInterval: 60_000_000})
 
 	sb := target.Machine().CPU.SBStats()
 	if sb.Runs == 0 || sb.ChainHits == 0 {
 		t.Fatalf("recording never engaged the chained superblock tier: %+v", sb)
 	}
 
-	rt, err := Replay(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := replayTrace(t, data)
 	rt.Machine().CPU.ForceSlowEngine(true)
 	got, err := rt.Run()
 	if err != nil {
@@ -388,8 +422,8 @@ func TestRecordOnChainedTierReplaysOnSlow(t *testing.T) {
 	if got != stats {
 		t.Fatalf("slow replay of chained recording:\n  recorded: %v\n  replayed: %v", stats, got)
 	}
-	if d := replay.Digest(rt.Machine(), rt.Monitor()); d != tr.EndDigest {
-		t.Fatalf("end digest %#x, recorded %#x", d, tr.EndDigest)
+	if d, want := replay.Digest(rt.Machine(), rt.Monitor()), endDigest(openTrace(t, data)); d != want {
+		t.Fatalf("end digest %#x, recorded %#x", d, want)
 	}
 	if slow := rt.Machine().CPU.SBStats(); slow.Runs != 0 {
 		t.Fatalf("forced-slow replay still ran superblocks: %+v", slow)
@@ -405,7 +439,7 @@ func TestRecordOnChainedTierReplaysOnSlow(t *testing.T) {
 func TestRecordWithArmedBreakpointReplays(t *testing.T) {
 	const coldBreak = 0xE0000
 
-	record := func(arm bool) (*replay.Trace, RunStats, uint64) {
+	record := func(arm bool) ([]byte, RunStats, uint64) {
 		w := WorkloadDefaults(100)
 		w.Seconds = 0.15
 		target, err := NewStreamingTarget(Lightweight, w)
@@ -417,12 +451,8 @@ func TestRecordWithArmedBreakpointReplays(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		rec := target.Record(RecordOptions{SnapshotInterval: 60_000_000})
-		stats, err := target.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rec.Finish(), stats, target.Machine().CPU.BurstTicks()
+		data, stats := recordRun(t, target, RecordOptions{SnapshotInterval: 60_000_000})
+		return data, stats, target.Machine().CPU.BurstTicks()
 	}
 
 	trArmed, statsArmed, burstArmed := record(true)
@@ -437,11 +467,9 @@ func TestRecordWithArmedBreakpointReplays(t *testing.T) {
 		t.Fatalf("armed recording burst %d ticks, unarmed %d: breakpoint knocked the recorder off the fast engine", burstArmed, burstClean)
 	}
 
+	armedDigest := endDigest(openTrace(t, trArmed))
 	for _, slow := range []bool{false, true} {
-		rt, err := Replay(trArmed)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rt := replayTrace(t, trArmed)
 		if slow {
 			rt.Machine().CPU.ForceSlowEngine(true)
 		}
@@ -452,8 +480,8 @@ func TestRecordWithArmedBreakpointReplays(t *testing.T) {
 		if got != statsArmed {
 			t.Fatalf("armed-trace replay (slow=%v):\n  recorded: %v\n  replayed: %v", slow, statsArmed, got)
 		}
-		if d := replay.Digest(rt.Machine(), rt.Monitor()); d != trArmed.EndDigest {
-			t.Fatalf("armed-trace replay (slow=%v) digest %#x, recorded %#x", slow, d, trArmed.EndDigest)
+		if d := replay.Digest(rt.Machine(), rt.Monitor()); d != armedDigest {
+			t.Fatalf("armed-trace replay (slow=%v) digest %#x, recorded %#x", slow, d, armedDigest)
 		}
 	}
 }
@@ -467,11 +495,8 @@ func TestReplayDivergenceDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := target.Record(RecordOptions{})
-	if _, err := target.Run(); err != nil {
-		t.Fatal(err)
-	}
-	tr := rec.Finish()
+	data, _ := recordRun(t, target, RecordOptions{})
+	tr := residentCopy(t, openTrace(t, data))
 
 	// Shift one recorded interrupt by a cycle.
 	tampered := false
@@ -485,10 +510,11 @@ func TestReplayDivergenceDetection(t *testing.T) {
 	if !tampered {
 		t.Fatal("no IRQ event to tamper with")
 	}
-	rt, err := Replay(tr)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
+	rt := replayTrace(t, buf.Bytes())
 	if _, err := rt.Run(); err == nil {
 		t.Fatal("tampered trace replayed without a divergence error")
 	} else if !strings.Contains(err.Error(), "diverged") {
@@ -505,25 +531,9 @@ func TestBareMetalRecordReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := target.Record(RecordOptions{})
-	stats1, err := target.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := rec.Finish()
+	data, stats1 := recordRun(t, target, RecordOptions{})
 
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	tr2, err := replay.ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := Replay(tr2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := replayTrace(t, data)
 	stats2, err := rt.Run()
 	if err != nil {
 		t.Fatalf("bare-metal replay diverged: %v", err)
@@ -544,7 +554,11 @@ func TestRecordReplayWithDebugSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := target.Record(RecordOptions{})
+	var buf bytes.Buffer
+	rec, err := target.RecordStream(&buf, RecordOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// A scripted debug session in the middle of the recorded run: stop
 	// the guest, look around, resume.
@@ -566,22 +580,15 @@ func TestRecordReplayWithDebugSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := rec.Finish()
-
-	inputs := 0
-	for _, ev := range tr.Events {
-		if ev.Kind == replay.EvInput {
-			inputs++
-		}
-	}
-	if inputs == 0 {
-		t.Fatal("debug session recorded no input events")
-	}
-
-	rt, err := Replay(tr)
-	if err != nil {
+	if _, err := rec.FinishStream(); err != nil {
 		t.Fatal(err)
 	}
+
+	if in, err := openTrace(t, buf.Bytes()).NextInput(0); err != nil || in < 0 {
+		t.Fatalf("debug session recorded no input events (%v)", err)
+	}
+
+	rt := replayTrace(t, buf.Bytes())
 	stats2, err := rt.Run()
 	if err != nil {
 		t.Fatalf("replay with inputs diverged: %v", err)
@@ -591,7 +598,10 @@ func TestRecordReplayWithDebugSession(t *testing.T) {
 	}
 }
 
-// TestTraceSerializationRoundTrip checks the versioned trace file format.
+// TestTraceSerializationRoundTrip checks the versioned trace file
+// format from both ends: an opened recording rebuilt through the
+// source's accessors and written by Trace.Write, the sequential writer,
+// is the recorded container byte for byte, and the rewrite replays.
 func TestTraceSerializationRoundTrip(t *testing.T) {
 	w := WorkloadDefaults(50)
 	w.Seconds = 0.1
@@ -599,30 +609,18 @@ func TestTraceSerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := target.Record(RecordOptions{SnapshotInterval: 60_000_000})
-	if _, err := target.Run(); err != nil {
-		t.Fatal(err)
-	}
-	tr := rec.Finish()
+	data, _ := recordRun(t, target, RecordOptions{SnapshotInterval: 60_000_000})
 
 	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
+	if err := residentCopy(t, openTrace(t, data)).Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	tr2, err := replay.ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr2.EndDigest != tr.EndDigest || tr2.EndCycle != tr.EndCycle ||
-		len(tr2.Events) != len(tr.Events) || len(tr2.Checkpoints) != len(tr.Checkpoints) {
-		t.Fatal("trace round trip lost data")
+	if !bytes.Equal(buf.Bytes(), data) {
+		t.Fatalf("trace round trip changed the container (%d bytes, recorded %d)", buf.Len(), len(data))
 	}
 
-	rt, err := Replay(tr2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := replayTrace(t, buf.Bytes())
 	if _, err := rt.Run(); err != nil {
-		t.Fatalf("replay from deserialized trace diverged: %v", err)
+		t.Fatalf("replay from the rewritten trace diverged: %v", err)
 	}
 }

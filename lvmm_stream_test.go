@@ -14,26 +14,25 @@ import (
 // goldenPath is a legacy v2 trace of a short lightweight streaming run
 // (interrupts, frames, two snapshot windows). Nothing writes v2 any
 // more, so the file never changes: it is the proof that old traces keep
-// replaying through the compatibility loader.
+// replaying through the opener's v2 transcode.
 const goldenPath = "testdata/v2-golden.trc"
 
-// TestV2GoldenReplaysBitIdentically reads the committed legacy-format
-// trace through the compatibility loader and replays it: the event
-// timeline, final digest, and the re-measured statistics must all
-// verify. This pins two invariants at once — the v2 container stays
+// TestV2GoldenReplaysBitIdentically opens the committed legacy-format
+// trace, which the opener transcodes to v3 in memory, and replays it:
+// the event timeline, final digest, and the re-measured statistics must
+// all verify. This pins two invariants at once — the v2 container stays
 // readable, and the simulated timeline it recorded stays reproducible.
+// (TestReadTraceMetaFile pins that the file is version 2.)
 func TestV2GoldenReplaysBitIdentically(t *testing.T) {
-	tr, err := replay.ReadTraceFile(goldenPath)
+	src, err := replay.OpenSourceFile(goldenPath, 0)
 	if err != nil {
-		t.Fatalf("compat loader rejected the golden v2 trace: %v", err)
+		t.Fatalf("opener rejected the golden v2 trace: %v", err)
 	}
-	if tr.Meta.Version != 2 {
-		t.Fatalf("golden trace reports version %d, want 2", tr.Meta.Version)
+	defer src.Close()
+	if n := src.NumCheckpoints(); n < 2 {
+		t.Fatalf("golden trace has %d checkpoints, want ≥ 2", n)
 	}
-	if len(tr.Checkpoints) < 2 {
-		t.Fatalf("golden trace has %d checkpoints, want ≥ 2", len(tr.Checkpoints))
-	}
-	rt, err := Replay(tr)
+	rt, err := ReplaySource(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,15 +43,17 @@ func TestV2GoldenReplaysBitIdentically(t *testing.T) {
 	if !stats.Clean {
 		t.Fatalf("golden replay stream not clean: %s", stats.ValidateErr)
 	}
-	if got := replay.Digest(rt.Machine(), rt.Monitor()); got != tr.EndDigest {
-		t.Fatalf("final digest %#x, recorded %#x", got, tr.EndDigest)
+	_, _, _, endDigest := src.End()
+	if got := replay.Digest(rt.Machine(), rt.Monitor()); got != endDigest {
+		t.Fatalf("final digest %#x, recorded %#x", got, endDigest)
 	}
 }
 
 // TestRecordStreamRoundTrip records the streaming workload straight to a
-// v3 container (the default hxreplay path) and replays it from disk —
+// v3 container (the default hxreplay path) and replays it —
 // stats, digest, and timeline all bit-identical, with the trace carrying
-// both keyframes and deltas plus a usable seek index.
+// both keyframes and deltas plus a seek index that agrees with the
+// payloads it points at.
 func TestRecordStreamRoundTrip(t *testing.T) {
 	w := WorkloadDefaults(100)
 	w.Seconds = 0.2
@@ -77,31 +78,33 @@ func TestRecordStreamRoundTrip(t *testing.T) {
 		t.Fatal("streamed recording produced no delta snapshots")
 	}
 
-	tr, err := replay.ReadTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Segments) == 0 {
-		t.Fatal("streamed trace read back without a segment index")
+	lt := openTrace(t, buf.Bytes())
+	sr := lt.Reader()
+	if len(sr.Segments()) != sstats.Segments {
+		t.Fatalf("seek index lists %d segments, recorder wrote %d", len(sr.Segments()), sstats.Segments)
 	}
 	events, snaps := 0, 0
-	for _, sg := range tr.Segments {
+	for i, sg := range sr.Segments() {
 		switch {
 		case sg.IsEvents():
-			events += sg.Events
+			batch, err := sr.DecodeEvents(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			events += len(batch)
 		case sg.IsSnapshot():
+			if _, err := sr.DecodeCheckpoint(i); err != nil {
+				t.Fatal(err)
+			}
 			snaps++
 		}
 	}
-	if events != len(tr.Events) || snaps != len(tr.Checkpoints) {
-		t.Fatalf("index disagrees with payload: %d/%d events, %d/%d snapshots",
-			events, len(tr.Events), snaps, len(tr.Checkpoints))
+	if events != sstats.Events || snaps != sstats.Keyframes+sstats.Deltas {
+		t.Fatalf("container disagrees with the recorder: %d/%d events, %d/%d snapshots",
+			events, sstats.Events, snaps, sstats.Keyframes+sstats.Deltas)
 	}
 
-	rt, err := Replay(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := replayTrace(t, buf.Bytes())
 	stats2, err := rt.Run()
 	if err != nil {
 		t.Fatalf("streamed trace diverged on replay: %v", err)
@@ -112,25 +115,26 @@ func TestRecordStreamRoundTrip(t *testing.T) {
 
 	// Time travel across delta boundaries on the replayed target.
 	rp := rt.Replayer()
-	last := tr.Checkpoints[len(tr.Checkpoints)-1]
+	last := lt.CheckpointMeta(lt.NumCheckpoints() - 1)
 	if err := rp.SeekInstr(last.Instr + 100); err != nil {
 		t.Fatal(err)
 	}
 	if err := rp.ReverseStep(last.Instr/2 + 100); err != nil {
 		t.Fatal(err)
 	}
-	if err := rp.SeekInstr(tr.EndInstr); err != nil {
+	if err := rp.SeekInstr(sstats.EndInstr); err != nil {
 		t.Fatal(err)
 	}
-	if got := replay.Digest(rt.Machine(), rt.Monitor()); got != tr.EndDigest {
-		t.Fatalf("post-time-travel end digest %#x, recorded %#x", got, tr.EndDigest)
+	if got := replay.Digest(rt.Machine(), rt.Monitor()); got != sstats.EndDigest {
+		t.Fatalf("post-time-travel end digest %#x, recorded %#x", got, sstats.EndDigest)
 	}
 }
 
 // TestFleetRecordedTraceReplays runs a seeded fleet scenario with the
 // Record option and replays the streamed trace through the public
-// Replay path — proving the trace metadata (platform, resolved params,
-// content seed) reconstructs the exact machine the fleet worker ran.
+// ReplaySource path — proving the trace metadata (platform, resolved
+// params, content seed) reconstructs the exact machine the fleet worker
+// ran.
 func TestFleetRecordedTraceReplays(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fleet.trc")
 	sc := fleet.Scenario{
@@ -148,14 +152,15 @@ func TestFleetRecordedTraceReplays(t *testing.T) {
 		t.Fatalf("missing trace report: path=%q bytes=%d", res.TracePath, res.TraceBytes)
 	}
 
-	tr, err := replay.ReadTraceFile(path)
+	src, err := replay.OpenSourceFile(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Meta.Seed != 7 {
-		t.Fatalf("trace seed %d, want 7", tr.Meta.Seed)
+	defer src.Close()
+	if seed := src.Meta().Seed; seed != 7 {
+		t.Fatalf("trace seed %d, want 7", seed)
 	}
-	rt, err := Replay(tr)
+	rt, err := ReplaySource(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,15 +186,16 @@ func TestFleetRecordedTraceReplays(t *testing.T) {
 	if resC.Err != "" {
 		t.Fatalf("costs-override run failed: %s", resC.Err)
 	}
-	trC, err := replay.ReadTraceFile(scC.Record)
+	srcC, err := replay.OpenSourceFile(scC.Record, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !trC.Meta.Custom {
+	defer srcC.Close()
+	if !srcC.Meta().Custom {
 		t.Fatal("costs-override trace not marked custom")
 	}
-	if _, err := Replay(trC); err == nil {
-		t.Fatal("Replay accepted a custom trace it cannot reconstruct")
+	if _, err := ReplaySource(srcC); err == nil {
+		t.Fatal("ReplaySource accepted a custom trace it cannot reconstruct")
 	}
 }
 

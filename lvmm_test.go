@@ -124,6 +124,25 @@ func TestWorkloadValidation(t *testing.T) {
 			t.Errorf("offered rate %g accepted", rate)
 		}
 	}
+	// Run lengths whose tick count does not fit the boot info's uint32.
+	// 0 selects the half-second default.
+	for _, c := range []struct {
+		secs float64
+		ok   bool
+	}{
+		{math.NaN(), false}, {-1, false}, {math.Inf(1), false}, {math.Inf(-1), false},
+		{1e10, false}, {0, true}, {0.2, true},
+	} {
+		w := WorkloadDefaults(50)
+		w.Seconds = c.secs
+		target, err := NewStreamingTarget(BareMetal, w)
+		if (err == nil) != c.ok {
+			t.Errorf("run length %g s: accepted %v, want %v (%v)", c.secs, err == nil, c.ok, err)
+		}
+		if target != nil {
+			target.Release()
+		}
+	}
 }
 
 func TestPlatformStrings(t *testing.T) {
