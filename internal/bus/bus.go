@@ -219,15 +219,15 @@ func (b *Bus) Write32(addr uint32, v uint32) bool {
 	return true
 }
 
-// DMARead copies n bytes of physical memory into a fresh slice (device →
-// host direction helper). Returns nil if out of range.
-func (b *Bus) DMARead(addr, n uint32) []byte {
-	if !b.InRAM(addr, n) {
-		return nil
+// DMARead copies len(dst) bytes of physical memory at addr into dst
+// (device → host direction). Reports success; dst is untouched when the
+// range is not in RAM.
+func (b *Bus) DMARead(addr uint32, dst []byte) bool {
+	if !b.InRAM(addr, uint32(len(dst))) {
+		return false
 	}
-	out := make([]byte, n)
-	copy(out, b.ram[addr:addr+n])
-	return out
+	copy(dst, b.ram[addr:])
+	return true
 }
 
 // DMAWrite copies data into physical memory at addr. Reports success.

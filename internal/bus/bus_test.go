@@ -103,12 +103,15 @@ func TestDMA(t *testing.T) {
 	if !b.DMAWrite(100, data) {
 		t.Fatal("dma write")
 	}
-	got := b.DMARead(100, 4)
-	if string(got) != string(data) {
+	got := make([]byte, 4)
+	if !b.DMARead(100, got) || string(got) != string(data) {
 		t.Fatalf("dma read % x", got)
 	}
-	if b.DMARead(1022, 4) != nil {
+	if b.DMARead(1022, got) {
 		t.Fatal("oob dma read allowed")
+	}
+	if !b.DMARead(1024, nil) {
+		t.Fatal("empty dma read at the end of RAM refused")
 	}
 	if b.DMAWrite(1022, data) {
 		t.Fatal("oob dma write allowed")

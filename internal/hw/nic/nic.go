@@ -60,6 +60,11 @@ const (
 const WireBytesPerSec = 125_000_000
 
 // FrameSink receives each transmitted frame with its completion cycle.
+// The frame is valid only for the duration of the call: the device
+// reuses its buffer for the next frame, so a sink that keeps the bytes
+// must copy them. Its capacity equals its length, so no parser can read
+// past the frame into a previous one's bytes — host state that no
+// snapshot captures.
 type FrameSink func(frame []byte, cycle uint64)
 
 // NIC is the gigabit Ethernet controller.
@@ -91,6 +96,11 @@ type NIC struct {
 	frameTap     FrameSink             // record/replay observer
 	epoch        uint32
 
+	// The frame buffer, reused across frames. Every byte a frame exposes
+	// is overwritten by its DMA first, so it carries nothing from one
+	// frame to the next and stays out of State.
+	frame []byte
+
 	// In-flight descriptor, latched when transmission starts (fields
 	// rather than closure captures so snapshots can re-arm completion).
 	curDescAddr, curBufAddr uint32
@@ -99,7 +109,8 @@ type NIC struct {
 }
 
 // SetFrameTap installs an observer called with every transmitted frame
-// before it reaches the sink (nil to remove). Record/replay uses it.
+// before it reaches the sink (nil to remove). Record/replay uses it. As
+// for a FrameSink, the frame is valid only for the duration of the call.
 func (n *NIC) SetFrameTap(tap FrameSink) { n.frameTap = tap }
 
 // Sink returns the downstream frame sink.
@@ -204,8 +215,8 @@ func (n *NIC) pump() {
 		return
 	}
 	dAddr := n.txBase + n.txHead*DescSize
-	desc := n.mem.DMARead(dAddr, DescSize)
-	if desc == nil {
+	var desc [DescSize]byte
+	if !n.mem.DMARead(dAddr, desc[:]) {
 		n.DescErrors++
 		n.txHead = (n.txHead + 1) % n.ringSize()
 		n.pump()
@@ -247,10 +258,15 @@ func (n *NIC) armCompletion(delay uint64) {
 // deliver to the wire, write back descriptor status, raise the (possibly
 // coalesced) completion interrupt.
 func (n *NIC) complete(descAddr, bufAddr, length, flags uint32) {
-	frame := n.mem.DMARead(bufAddr, length)
-	if frame == nil {
+	// Bound the guest's length by RAM before the buffer grows to it.
+	if !n.mem.InRAM(bufAddr, length) {
 		n.DescErrors++
 	} else {
+		if uint32(cap(n.frame)) < length {
+			n.frame = make([]byte, length)
+		}
+		frame := n.frame[:length:length]
+		n.mem.DMARead(bufAddr, frame)
 		if flags&DescFlagCsum != 0 && !n.csumDisabled {
 			netsim.OffloadChecksums(frame)
 		}

@@ -215,6 +215,64 @@ func TestBadDescriptorAddressCounted(t *testing.T) {
 	}
 }
 
+// DMA success comes from the bounds check, not from the buffer: a
+// zero-length descriptor in RAM, even one ending exactly at the top of
+// RAM, transmits an empty frame, while one past RAM is a descriptor error.
+func TestZeroLengthDescriptor(t *testing.T) {
+	r := newRig(t)
+	for i, addr := range []uint32{frameBase, 1 << 20, 1<<20 + 1} {
+		d := uint32(ringBase + i*DescSize)
+		r.b.Write32(d, addr)
+		r.b.Write32(d+4, 0)
+		r.b.Write32(d+8, DescFlagEOP|DescFlagCsum)
+	}
+	r.n.PortWrite(RegTxTail, 3)
+	r.s.Advance(isa.ClockHz / 100)
+	if r.n.FramesTx != 2 || len(r.frames) != 2 || len(r.frames[0]) != 0 || len(r.frames[1]) != 0 {
+		t.Fatalf("FramesTx %d, %d frames delivered; want 2 empty frames", r.n.FramesTx, len(r.frames))
+	}
+	if r.n.DescErrors != 1 {
+		t.Fatalf("DescErrors %d, want 1 for the descriptor past RAM", r.n.DescErrors)
+	}
+}
+
+// A transmit reuses the device's DMA buffers: a descriptor pumped through
+// completion, checksum offload and a validating receiver allocates only
+// the completion event it schedules, whatever the frame length. A frame
+// allocation would add one per transmit.
+func TestTransmitAllocatesNoFrame(t *testing.T) {
+	for _, size := range []int{64, 1514} {
+		s := &hwtest.Sched{}
+		b := bus.New(1 << 20)
+		recv := netsim.NewReceiver()
+		n := New(s, func() {}, b, recv.Deliver)
+		n.PortWrite(RegTxBase, ringBase)
+		n.PortWrite(RegTxCount, ringLen)
+		n.PortWrite(RegCtrl, CtrlEnable)
+		payload := make([]byte, size-netsim.HeadersLen)
+		netsim.FillPattern(payload[netsim.StampLen:], netsim.StampLen) // stamp: sequence, volume offset 0
+		b.DMAWrite(frameBase, append(netsim.BuildHeaderTemplate(netsim.DefaultFlow(), len(payload)), payload...))
+		var seq uint32
+		transmit := func() {
+			tail := n.PortRead(RegTxTail)
+			b.Write32(frameBase+netsim.HeadersLen, seq) // the stamp's sequence number
+			seq++
+			d := ringBase + tail*DescSize
+			b.Write32(d, frameBase)
+			b.Write32(d+4, uint32(size))
+			b.Write32(d+8, DescFlagEOP|DescFlagCsum)
+			n.PortWrite(RegTxTail, (tail+1)%ringLen)
+			s.Advance(s.Now() + isa.ClockHz/1000)
+		}
+		if allocs := testing.AllocsPerRun(100, transmit); allocs > 1 {
+			t.Errorf("%d-byte frame: %.1f allocations per transmit, want at most the completion event's 1", size, allocs)
+		}
+		if !recv.Clean() || recv.Frames != 101 {
+			t.Fatalf("%d-byte frame: receiver saw %d frames, clean=%v: %s", size, recv.Frames, recv.Clean(), recv.LastError())
+		}
+	}
+}
+
 func TestOnTransmitHook(t *testing.T) {
 	r := newRig(t)
 	var seen uint32

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// The data-path kernels (FillPatternSeeded, CheckPatternSeeded, SumBytes)
-// work a 64-bit word per step. These tests hold them to the byte-at-a-time
-// definitions written out below.
+// The data-path kernels (FillPatternSeeded, checkPatternSum behind
+// CheckPatternSeeded, SumBytes) work a 64-bit word per step. These tests
+// hold them to the byte-at-a-time definitions written out below.
 
 // refFill is the pattern by its definition, one PatternByteSeeded per byte.
 func refFill(n int, off, seed uint64) []byte {
@@ -62,30 +62,48 @@ func checkKernels(t *testing.T, data []byte, off, seed uint64, init uint32) {
 	if i := firstDiff(got, want); i >= 0 {
 		t.Fatalf("fill len=%d off=%#x seed=%#x: byte %d = %#02x, want %#02x", len(data), off, seed, i, got[i], want[i])
 	}
-	if i := CheckPatternSeeded(want, off, seed); i != -1 {
-		t.Fatalf("check len=%d off=%#x seed=%#x: clean buffer mismatch at %d", len(data), off, seed, i)
-	}
-	if got, want := CheckPatternSeeded(data, off, seed), refCheck(data, off, seed); got != want {
-		t.Fatalf("check len=%d off=%#x seed=%#x on raw data: %d, want %d", len(data), off, seed, got, want)
-	}
 	corrupt := append([]byte(nil), want...)
-	wantIdx := -1
 	for i, m := range data {
 		corrupt[i] ^= m
-		if m != 0 && wantIdx < 0 {
-			wantIdx = i
-		}
 	}
-	if got := CheckPatternSeeded(corrupt, off, seed); got != wantIdx {
-		t.Fatalf("check len=%d off=%#x seed=%#x on corrupted pattern: %d, want %d", len(data), off, seed, got, wantIdx)
+	for _, buf := range [][]byte{want, data, corrupt} {
+		checkCheckSum(t, buf, off, seed, init)
 	}
+	checkSum(t, data, init)
+}
+
+// checkCheckSum asserts the fused pattern check and checksum, and
+// CheckPatternSeeded on top of it, against refCheck and refSum.
+func checkCheckSum(t *testing.T, buf []byte, off, seed uint64, init uint32) {
+	t.Helper()
+	wantIdx := refCheck(buf, off, seed)
+	if got := CheckPatternSeeded(buf, off, seed); got != wantIdx {
+		t.Fatalf("check len=%d off=%#x seed=%#x: %d, want %d", len(buf), off, seed, got, wantIdx)
+	}
+	i, s := checkPatternSum(buf, off, seed, init)
+	if i != wantIdx {
+		t.Fatalf("check+sum len=%d off=%#x seed=%#x: mismatch %d, want %d", len(buf), off, seed, i, wantIdx)
+	}
+	assertSum(t, "check+sum", buf, init, s)
+}
+
+// checkSum asserts SumBytes against refSum.
+func checkSum(t *testing.T, data []byte, init uint32) {
+	t.Helper()
+	assertSum(t, "sum", data, init, SumBytes(init, data))
+}
+
+// assertSum asserts that s, a running sum of data from init, is what the
+// SumBytes contract says: congruent to the exact sum modulo 0xFFFF, zero
+// only when it is, and so finishing to the same checksum.
+func assertSum(t *testing.T, what string, data []byte, init, s uint32) {
+	t.Helper()
 	exact := refSum(uint64(init), data)
-	s := SumBytes(init, data)
 	if got, want := FinishChecksum(s), refFinish(exact); got != want {
-		t.Fatalf("sum len=%d init=%#x: checksum %#04x, want %#04x", len(data), init, got, want)
+		t.Fatalf("%s len=%d init=%#x: checksum %#04x, want %#04x", what, len(data), init, got, want)
 	}
 	if uint64(s)%0xFFFF != exact%0xFFFF || (s == 0) != (exact == 0) {
-		t.Fatalf("sum len=%d init=%#x: running sum %#x not congruent to exact %#x", len(data), init, s, exact)
+		t.Fatalf("%s len=%d init=%#x: running sum %#x not congruent to exact %#x", what, len(data), init, s, exact)
 	}
 }
 
@@ -204,12 +222,59 @@ func TestSumBytesNoOverflowPast128KiB(t *testing.T) {
 	}
 }
 
+// The carry table must agree with the pattern on both sides of every
+// bucket edge and every carry threshold, for top bytes that do and do not
+// wrap when the table's vector is added.
+func TestPatternCarryTableEdges(t *testing.T) {
+	// patMul is odd, so it has an inverse modulo 2⁶⁴ (Newton's iteration
+	// doubles the correct low bits each step), and the offset whose
+	// pattern word starts at a chosen x is (x − patAdd)·patMul⁻¹.
+	inv := uint64(patMul)
+	for i := 0; i < 6; i++ {
+		inv *= 2 - patMul*inv
+	}
+	var xls []uint64
+	for b := uint64(0); b <= 256; b++ {
+		xls = append(xls, b<<48-1, b<<48, b<<48+1)
+	}
+	for k := uint64(1); k < 8; k++ {
+		th := 1<<56 - k*patMul&(1<<56-1)
+		xls = append(xls, th-1, th, th+1)
+	}
+	buf := make([]byte, 8)
+	for _, xl := range xls {
+		xl &= 1<<56 - 1
+		for _, xh := range []uint64{0, 1, 0x7F, 0x80, 0xC3, 0xFF} {
+			off := (xh<<56 | xl - patAdd) * inv
+			if off*patMul+patAdd != xh<<56|xl {
+				t.Fatalf("no offset found for x=%#x", xh<<56|xl)
+			}
+			FillPatternSeeded(buf, off, 0)
+			want := refFill(8, off, 0)
+			if i := firstDiff(buf, want); i >= 0 {
+				t.Fatalf("x=%#x: fill byte %d = %#02x, want %#02x", xh<<56|xl, i, buf[i], want[i])
+			}
+			checkCheckSum(t, want, off, 0, 0)
+		}
+	}
+}
+
 func FuzzNetsimKernels(f *testing.F) {
 	f.Add([]byte{}, uint64(0), uint64(0), uint32(0))
 	f.Add([]byte{0xFF, 0xFF, 0xFF}, ^uint64(0)-1, uint64(1), uint32(0xFFFFFFFF))
 	f.Add([]byte("0123456789abcdef0123"), uint64(1<<63), ^uint64(0), uint32(0xFFFF))
 	f.Fuzz(func(t *testing.T, data []byte, off, seed uint64, init uint32) {
 		checkKernels(t, data, off, seed, init)
+		// SumBytes pairs bytes from the start of its slice: sum from odd
+		// and even starts, at every alignment of the backing array.
+		for o := 1; o <= 3 && o <= len(data); o++ {
+			checkSum(t, data[o:], init)
+		}
+		for k := 1; k < 8; k++ {
+			backing := make([]byte, len(data)+k)
+			copy(backing[k:], data)
+			checkSum(t, backing[k:], init)
+		}
 	})
 }
 

@@ -100,6 +100,64 @@ func TestParseFrameErrors(t *testing.T) {
 	}
 }
 
+// A guest writes the UDP length field, so offload must survive any value
+// in it: a length that does not fit the frame leaves the UDP checksum
+// field as the guest wrote it, while the IPv4 header checksum is still
+// filled in.
+func TestOffloadChecksumsBadUDPLength(t *testing.T) {
+	for _, udpLen := range []uint16{0, 7, 73, 200, 65535} {
+		frame := buildTestFrame(t, make([]byte, 64), false) // 106 bytes
+		udp := frame[EthHeaderLen+IPv4HeaderLen:]
+		binary.BigEndian.PutUint16(udp[4:6], udpLen)
+		binary.BigEndian.PutUint16(udp[6:8], 0xBEEF)
+		frame[EthHeaderLen+10] ^= 0xFF // stale IPv4 header checksum
+		OffloadChecksums(frame)
+		if Checksum(frame[EthHeaderLen:HeadersLen-UDPHeaderLen]) != 0 {
+			t.Errorf("UDP length %d: IPv4 header checksum not filled", udpLen)
+		}
+		if got := binary.BigEndian.Uint16(udp[6:8]); got != 0xBEEF {
+			t.Errorf("UDP length %d: UDP checksum field %#04x, want the guest's 0xbeef", udpLen, got)
+		}
+		if _, ok := UDPChecksum(frame); ok {
+			t.Errorf("UDP length %d: UDPChecksum reported a checksum", udpLen)
+		}
+	}
+	// The largest length that fits still gets a checksum.
+	frame := buildTestFrame(t, make([]byte, 64), false)
+	binary.BigEndian.PutUint16(frame[EthHeaderLen+IPv4HeaderLen+4:], 72)
+	OffloadChecksums(frame)
+	if binary.BigEndian.Uint16(frame[EthHeaderLen+IPv4HeaderLen+6:]) == 0 {
+		t.Error("UDP length 72 of 72: checksum not filled")
+	}
+}
+
+// An IPv4 total length below the IPv4 and UDP headers is refused. Below
+// 20 it used to panic; from 20 to 27 the UDP length was read from bytes
+// past the datagram. The frame's capacity equals its length, as the NIC
+// delivers it, so any read past the end panics.
+func TestParseFrameShortIPTotalLength(t *testing.T) {
+	for _, total := range []uint16{0, 1, 19, 20, 21, 25, 27} {
+		frame := buildTestFrame(t, make([]byte, 0), false) // 42 bytes
+		ip := frame[EthHeaderLen:]
+		binary.BigEndian.PutUint16(ip[2:4], total)
+		ip[10], ip[11] = 0, 0
+		binary.BigEndian.PutUint16(ip[10:12], Checksum(ip[:IPv4HeaderLen]))
+		frame = frame[:len(frame):len(frame)]
+		if _, err := ParseFrame(frame); err == nil {
+			t.Errorf("IP total length %d accepted", total)
+		}
+		r := NewReceiver()
+		r.Deliver(frame, 0)
+		if r.ParseErrors != 1 {
+			t.Errorf("IP total length %d: receiver ParseErrors = %d", total, r.ParseErrors)
+		}
+	}
+	frame := buildTestFrame(t, make([]byte, 0), false)
+	if p, err := ParseFrame(frame[:len(frame):len(frame)]); err != nil || len(p.Payload) != 0 {
+		t.Fatalf("IP total length 28: %v", err)
+	}
+}
+
 // Property: the checksum of any buffer with its own checksum appended
 // verifies to zero (ones'-complement identity).
 func TestChecksumProperty(t *testing.T) {

@@ -43,7 +43,12 @@ func NewReceiver() *Receiver { return &Receiver{} }
 // each UDP payload: sequence number and volume offset.
 const StampLen = 8
 
-// Deliver consumes one transmitted frame at the given virtual cycle.
+// Deliver consumes one transmitted frame at the given virtual cycle. It
+// reads each payload byte once: one loop checks the pattern and sums the
+// UDP checksum together (checkPatternSum), and it allocates only to
+// describe a failure. Failures rank parse, checksum, short payload,
+// sequence, pattern; the first one stops validation, except that a
+// sequence error still checks the pattern.
 func (r *Receiver) Deliver(frame []byte, cycle uint64) {
 	if r.Frames == 0 {
 		r.FirstCycle = cycle
@@ -52,34 +57,44 @@ func (r *Receiver) Deliver(frame []byte, cycle uint64) {
 	r.Frames++
 	r.WireBytes += uint64(len(frame) + WireOverhead)
 
-	p, err := ParseFrame(frame)
+	ip, udp, err := parseUDP(frame)
 	if err != nil {
 		r.ParseErrors++
 		r.lastError = err.Error()
 		return
 	}
-	if !p.UDPChecksumOK {
+	payload := udp[UDPHeaderLen:]
+	sum := pseudoSum(ip, len(udp))
+	mismatch := -1
+	var volOff uint32
+	if len(payload) < StampLen {
+		sum = SumBytes(sum, udp)
+	} else {
+		volOff = binary.LittleEndian.Uint32(payload[4:8])
+		sum = SumBytes(sum, udp[:UDPHeaderLen+StampLen])
+		mismatch, sum = checkPatternSum(payload[StampLen:], uint64(volOff)+StampLen, r.PatternSeed, sum)
+	}
+	if !udpChecksumOK(udp, sum) {
 		r.ChecksumBad++
 		r.lastError = "bad UDP checksum"
 		return
 	}
-	r.PayloadBytes += uint64(len(p.Payload))
-	if len(p.Payload) < StampLen {
+	r.PayloadBytes += uint64(len(payload))
+	if len(payload) < StampLen {
 		r.ParseErrors++
 		r.lastError = "payload shorter than stamp"
 		return
 	}
-	seq := binary.LittleEndian.Uint32(p.Payload[0:4])
-	volOff := binary.LittleEndian.Uint32(p.Payload[4:8])
+	seq := binary.LittleEndian.Uint32(payload[0:4])
 	if seq != r.nextSeq {
 		r.SeqErrors++
 		r.lastError = fmt.Sprintf("sequence %d, expected %d", seq, r.nextSeq)
 		r.nextSeq = seq
 	}
 	r.nextSeq++
-	if i := CheckPatternSeeded(p.Payload[StampLen:], uint64(volOff)+StampLen, r.PatternSeed); i >= 0 {
+	if mismatch >= 0 {
 		r.PatternErrors++
-		r.lastError = fmt.Sprintf("pattern mismatch at payload offset %d (vol 0x%x)", i+StampLen, volOff)
+		r.lastError = fmt.Sprintf("pattern mismatch at payload offset %d (vol 0x%x)", mismatch+StampLen, volOff)
 	}
 }
 
