@@ -236,11 +236,14 @@ func NewStreamingSeeded(blockBytes uint32, recv *netsim.Receiver, resetPC uint32
 		disk := uint64(i)
 		cfg.DiskData[i] = func(lba uint32, buf []byte) {
 			// Disk i stores volume blocks i, i+3, i+6, ... contiguously.
+			// The volume wraps at 2³², the width of the offset the guest
+			// stamps into each segment and the receiver validates against;
+			// a power-of-two block never straddles the wrap.
 			diskOff := uint64(lba) * scsi.SectorSize
 			blk := diskOff / uint64(blockBytes)
 			inBlk := diskOff % uint64(blockBytes)
-			volOff := (blk*3+disk)*uint64(blockBytes) + inBlk
-			netsim.FillPatternSeeded(buf, volOff, seed)
+			volOff := uint32((blk*3+disk)*uint64(blockBytes) + inBlk)
+			netsim.FillPatternSeeded(buf, uint64(volOff), seed)
 		}
 	}
 	if recv != nil {

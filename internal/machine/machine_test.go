@@ -387,13 +387,21 @@ func TestStreamingMachineDiskStriping(t *testing.T) {
 	loadKernel(t, m, ".org 0x1000\n_start: hlt\n")
 	// Disk 1 block 0 holds volume block 1: bytes at volume offset 2 MB.
 	// Exercise the wiring with a synthetic device read.
-	m.SCSI[1].PortWrite(1, 0)      // LBA
-	m.SCSI[1].PortWrite(2, 64)     // count
-	m.SCSI[1].PortWrite(3, 0x5000) // dma
-	m.SCSI[1].PortWrite(0, scsi.CmdRead)
-	m.Run(2_000_000) // let the completion event fire
-	got := m.Bus.RAM()[0x5000:0x5040]
-	if i := netsim.CheckPattern(got, 2<<20); i != -1 {
+	read := func(lba uint32) []byte {
+		m.SCSI[1].PortWrite(1, lba)    // LBA
+		m.SCSI[1].PortWrite(2, 64)     // count
+		m.SCSI[1].PortWrite(3, 0x5000) // dma
+		m.SCSI[1].PortWrite(0, scsi.CmdRead)
+		m.Run(m.Now() + 2_000_000) // let the completion event fire
+		return m.Bus.RAM()[0x5000:0x5040]
+	}
+	if i := netsim.CheckPattern(read(0), 2<<20); i != -1 {
 		t.Fatalf("disk 1 striping wrong at %d", i)
+	}
+	// Disk 1 block 683 holds volume block 2050, 4 MB past 4 GiB. The
+	// guest stamps 32-bit volume offsets, so the volume wraps at 2³²:
+	// the receiver validates these bytes against offset 4 MB.
+	if i := netsim.CheckPattern(read(683*(2<<20)/scsi.SectorSize), 4<<20); i != -1 {
+		t.Fatalf("disk 1 past 4 GiB wrong at %d", i)
 	}
 }

@@ -88,12 +88,17 @@ func Checksum(data []byte) uint16 {
 // The bulk loads little-endian 64-bit words, with no byte swap, and adds
 // their 32-bit halves (2¹⁶ ≡ 1 mod 0xFFFF, so a half stands for its two
 // 16-bit words) into a 64-bit accumulator, which cannot overflow below
-// 16 GiB of data. addLE turns that little-endian sum into the big-endian
-// one with a single byte swap at the end.
+// 16 GiB of data; where the CPU has AVX2, sumBlocks adds the halves of
+// whole 32-byte blocks the same way. addLE turns that little-endian sum
+// into the big-endian one with a single byte swap at the end.
 func SumBytes(sum uint32, data []byte) uint32 {
 	var acc uint64
 	n := len(data)
 	i := 0
+	if useAVX2 && n >= 32 {
+		i = n &^ 31
+		acc = sumBlocks(data[:i])
+	}
 	for ; i+16 <= n; i += 16 {
 		w0 := binary.LittleEndian.Uint64(data[i:])
 		w1 := binary.LittleEndian.Uint64(data[i+8:])

@@ -6,8 +6,37 @@ import (
 )
 
 // The data-path kernels (FillPatternSeeded, checkPatternSum behind
-// CheckPatternSeeded, SumBytes) work a 64-bit word per step. These tests
-// hold them to the byte-at-a-time definitions written out below.
+// CheckPatternSeeded, SumBytes) take whole 32-byte blocks through the
+// AVX2 kernels where the CPU has them and the rest a 64-bit word per
+// step. These tests hold both paths to the byte-at-a-time definitions
+// written out below: eachPath runs an input through the generic word
+// loops alone, then, on an AVX2 host, through the block kernels.
+
+// kernelPaths are the settings of useAVX2 this host can run.
+var kernelPaths = func() []bool {
+	if useAVX2 {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}()
+
+// eachPath runs f once per kernel path, useAVX2 set to match, and
+// restores useAVX2 after.
+func eachPath(f func()) {
+	defer func(v bool) { useAVX2 = v }(useAVX2)
+	for _, p := range kernelPaths {
+		useAVX2 = p
+		f()
+	}
+}
+
+// path names the kernel path in use, for failure messages.
+func path() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "generic"
+}
 
 // refFill is the pattern by its definition, one PatternByteSeeded per byte.
 func refFill(n int, off, seed uint64) []byte {
@@ -51,25 +80,27 @@ func refFinish(sum uint64) uint16 {
 	return ^uint16(sum)
 }
 
-// checkKernels asserts every kernel against its reference on one input:
-// data is both a buffer to check as is and a corruption mask XORed over a
-// clean pattern buffer.
+// checkKernels asserts every kernel on every path against its reference
+// on one input: data is both a buffer to check as is and a corruption
+// mask XORed over a clean pattern buffer.
 func checkKernels(t *testing.T, data []byte, off, seed uint64, init uint32) {
 	t.Helper()
 	want := refFill(len(data), off, seed)
-	got := make([]byte, len(data))
-	FillPatternSeeded(got, off, seed)
-	if i := firstDiff(got, want); i >= 0 {
-		t.Fatalf("fill len=%d off=%#x seed=%#x: byte %d = %#02x, want %#02x", len(data), off, seed, i, got[i], want[i])
-	}
 	corrupt := append([]byte(nil), want...)
 	for i, m := range data {
 		corrupt[i] ^= m
 	}
-	for _, buf := range [][]byte{want, data, corrupt} {
-		checkCheckSum(t, buf, off, seed, init)
-	}
-	checkSum(t, data, init)
+	got := make([]byte, len(data))
+	eachPath(func() {
+		FillPatternSeeded(got, off, seed)
+		if i := firstDiff(got, want); i >= 0 {
+			t.Fatalf("%s fill len=%d off=%#x seed=%#x: byte %d = %#02x, want %#02x", path(), len(data), off, seed, i, got[i], want[i])
+		}
+		for _, buf := range [][]byte{want, data, corrupt} {
+			checkCheckSum(t, buf, off, seed, init)
+		}
+		checkSum(t, data, init)
+	})
 }
 
 // checkCheckSum asserts the fused pattern check and checksum, and
@@ -78,11 +109,11 @@ func checkCheckSum(t *testing.T, buf []byte, off, seed uint64, init uint32) {
 	t.Helper()
 	wantIdx := refCheck(buf, off, seed)
 	if got := CheckPatternSeeded(buf, off, seed); got != wantIdx {
-		t.Fatalf("check len=%d off=%#x seed=%#x: %d, want %d", len(buf), off, seed, got, wantIdx)
+		t.Fatalf("%s check len=%d off=%#x seed=%#x: %d, want %d", path(), len(buf), off, seed, got, wantIdx)
 	}
 	i, s := checkPatternSum(buf, off, seed, init)
 	if i != wantIdx {
-		t.Fatalf("check+sum len=%d off=%#x seed=%#x: mismatch %d, want %d", len(buf), off, seed, i, wantIdx)
+		t.Fatalf("%s check+sum len=%d off=%#x seed=%#x: mismatch %d, want %d", path(), len(buf), off, seed, i, wantIdx)
 	}
 	assertSum(t, "check+sum", buf, init, s)
 }
@@ -100,10 +131,10 @@ func assertSum(t *testing.T, what string, data []byte, init, s uint32) {
 	t.Helper()
 	exact := refSum(uint64(init), data)
 	if got, want := FinishChecksum(s), refFinish(exact); got != want {
-		t.Fatalf("%s len=%d init=%#x: checksum %#04x, want %#04x", what, len(data), init, got, want)
+		t.Fatalf("%s %s len=%d init=%#x: checksum %#04x, want %#04x", path(), what, len(data), init, got, want)
 	}
 	if uint64(s)%0xFFFF != exact%0xFFFF || (s == 0) != (exact == 0) {
-		t.Fatalf("%s len=%d init=%#x: running sum %#x not congruent to exact %#x", what, len(data), init, s, exact)
+		t.Fatalf("%s %s len=%d init=%#x: running sum %#x not congruent to exact %#x", path(), what, len(data), init, s, exact)
 	}
 }
 
@@ -145,18 +176,20 @@ func TestKernelsLengthSweep(t *testing.T) {
 
 func TestKernelsUnalignedSubslices(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 63, 1024, 1031} {
+	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 1024, 1031} {
 		for k := 1; k <= 7; k++ {
 			off, seed := rng.Uint64(), rng.Uint64()
 			backing := make([]byte, n+k)
 			buf := backing[k:]
-			FillPatternSeeded(buf, off, seed)
-			if i := firstDiff(buf, refFill(n, off, seed)); i >= 0 {
-				t.Fatalf("fill buf[%d:] len=%d: byte %d wrong", k, n, i)
-			}
-			if i := CheckPatternSeeded(buf, off, seed); i != -1 {
-				t.Fatalf("check buf[%d:] len=%d: clean mismatch at %d", k, n, i)
-			}
+			eachPath(func() {
+				FillPatternSeeded(buf, off, seed)
+				if i := firstDiff(buf, refFill(n, off, seed)); i >= 0 {
+					t.Fatalf("%s fill buf[%d:] len=%d: byte %d wrong", path(), k, n, i)
+				}
+				if i := CheckPatternSeeded(buf, off, seed); i != -1 {
+					t.Fatalf("%s check buf[%d:] len=%d: clean mismatch at %d", path(), k, n, i)
+				}
+			})
 			copy(backing[k:], randBytes(rng, n))
 			checkKernels(t, buf, off, seed, rng.Uint32())
 		}
@@ -173,6 +206,24 @@ func TestKernelsOffsetWrap(t *testing.T) {
 	}
 }
 
+// The block kernels hand over to the word loops at a block edge, and on
+// a mismatch the word loop re-walks the block the kernel stopped at: a
+// single wrong byte anywhere in a short buffer, and anywhere in the first
+// and the last full block of a payload-sized one, must be the one found.
+func TestKernelsBlockEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{31, 32, 33, 63, 64, 65, 1031} {
+		for p := 0; p < n; p++ {
+			if n > 100 && p >= 32 && p < n&^31-32 {
+				continue // between the first and the last full block
+			}
+			mask := make([]byte, n)
+			mask[p] = byte(1 << (p % 8))
+			checkKernels(t, mask, rng.Uint64(), kernelSeeds[p%3], rng.Uint32())
+		}
+	}
+}
+
 func TestCheckPatternFirstOfSeveralInWord(t *testing.T) {
 	for _, seed := range kernelSeeds {
 		for first := 0; first < 64; first++ {
@@ -184,9 +235,11 @@ func TestCheckPatternFirstOfSeveralInWord(t *testing.T) {
 			buf[first] ^= 0x01
 			buf[first|5] ^= 0x5A
 			buf[first|7] ^= 0xC3
-			if got := CheckPatternSeeded(buf, 1000, seed); got != first {
-				t.Fatalf("seed=%#x: first mismatch %d, want %d", seed, got, first)
-			}
+			eachPath(func() {
+				if got := CheckPatternSeeded(buf, 1000, seed); got != first {
+					t.Fatalf("%s seed=%#x: first mismatch %d, want %d", path(), seed, got, first)
+				}
+			})
 		}
 	}
 }
@@ -241,7 +294,6 @@ func TestPatternCarryTableEdges(t *testing.T) {
 		th := 1<<56 - k*patMul&(1<<56-1)
 		xls = append(xls, th-1, th, th+1)
 	}
-	buf := make([]byte, 8)
 	for _, xl := range xls {
 		xl &= 1<<56 - 1
 		for _, xh := range []uint64{0, 1, 0x7F, 0x80, 0xC3, 0xFF} {
@@ -249,12 +301,7 @@ func TestPatternCarryTableEdges(t *testing.T) {
 			if off*patMul+patAdd != xh<<56|xl {
 				t.Fatalf("no offset found for x=%#x", xh<<56|xl)
 			}
-			FillPatternSeeded(buf, off, 0)
-			want := refFill(8, off, 0)
-			if i := firstDiff(buf, want); i >= 0 {
-				t.Fatalf("x=%#x: fill byte %d = %#02x, want %#02x", xh<<56|xl, i, buf[i], want[i])
-			}
-			checkCheckSum(t, want, off, 0, 0)
+			checkKernels(t, make([]byte, 8), off, 0, 0)
 		}
 	}
 }
@@ -267,60 +314,66 @@ func FuzzNetsimKernels(f *testing.F) {
 		checkKernels(t, data, off, seed, init)
 		// SumBytes pairs bytes from the start of its slice: sum from odd
 		// and even starts, at every alignment of the backing array.
-		for o := 1; o <= 3 && o <= len(data); o++ {
-			checkSum(t, data[o:], init)
-		}
-		for k := 1; k < 8; k++ {
-			backing := make([]byte, len(data)+k)
-			copy(backing[k:], data)
-			checkSum(t, backing[k:], init)
-		}
+		eachPath(func() {
+			for o := 1; o <= 3 && o <= len(data); o++ {
+				checkSum(t, data[o:], init)
+			}
+			for k := 1; k < 8; k++ {
+				backing := make([]byte, len(data)+k)
+				copy(backing[k:], data)
+				checkSum(t, backing[k:], init)
+			}
+		})
 	})
 }
 
 var benchSizes = []struct {
 	name string
 	n    int
-}{{"1KiB", 1 << 10}, {"4KiB", 4 << 10}}
+}{{"1KiB", 1 << 10}, {"4KiB", 4 << 10}, {"64KiB", 64 << 10}}
 
 var benchSink int
 
+// benchPaths runs f as one sub-benchmark per kernel path and buffer size,
+// so the output shows the block kernels' ratio to the word loops.
+func benchPaths(b *testing.B, f func(b *testing.B, n int)) {
+	eachPath(func() {
+		for _, s := range benchSizes {
+			b.Run(path()+"/"+s.name, func(b *testing.B) {
+				b.SetBytes(int64(s.n))
+				f(b, s.n)
+			})
+		}
+	})
+}
+
 func BenchmarkFillPattern(b *testing.B) {
-	for _, s := range benchSizes {
-		b.Run(s.name, func(b *testing.B) {
-			buf := make([]byte, s.n)
-			b.SetBytes(int64(s.n))
-			for i := 0; i < b.N; i++ {
-				FillPatternSeeded(buf, uint64(i)*uint64(s.n), 1)
-			}
-		})
-	}
+	benchPaths(b, func(b *testing.B, n int) {
+		buf := make([]byte, n)
+		for i := 0; i < b.N; i++ {
+			FillPatternSeeded(buf, uint64(i)*uint64(n), 1)
+		}
+	})
 }
 
 func BenchmarkCheckPattern(b *testing.B) {
-	for _, s := range benchSizes {
-		b.Run(s.name, func(b *testing.B) {
-			buf := make([]byte, s.n)
-			FillPatternSeeded(buf, 4096, 1)
-			b.SetBytes(int64(s.n))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				benchSink += CheckPatternSeeded(buf, 4096, 1)
-			}
-		})
-	}
+	benchPaths(b, func(b *testing.B, n int) {
+		buf := make([]byte, n)
+		FillPatternSeeded(buf, 4096, 1)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchSink += CheckPatternSeeded(buf, 4096, 1)
+		}
+	})
 }
 
 func BenchmarkSumBytes(b *testing.B) {
-	for _, s := range benchSizes {
-		b.Run(s.name, func(b *testing.B) {
-			buf := make([]byte, s.n)
-			FillPatternSeeded(buf, 0, 1)
-			b.SetBytes(int64(s.n))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				benchSink += int(SumBytes(uint32(i), buf))
-			}
-		})
-	}
+	benchPaths(b, func(b *testing.B, n int) {
+		buf := make([]byte, n)
+		FillPatternSeeded(buf, 0, 1)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchSink += int(SumBytes(uint32(i), buf))
+		}
+	})
 }

@@ -91,11 +91,13 @@ func PatternByteSeeded(off, seed uint64) byte {
 func FillPattern(buf []byte, off uint64) { FillPatternSeeded(buf, off, 0) }
 
 // FillPatternSeeded fills buf with the seeded volume pattern, bit for bit
-// the PatternByteSeeded sequence, a word per step through the carry table
-// (see patCarry): a lookup, a compare, a broadcast multiply and a
-// carry-free bytewise add build eight bytes, stored at once, and x
-// advances by patStep. Disk reads regenerate volume content through this
-// on every DMA, so it is on the simulation hot path.
+// the PatternByteSeeded sequence. Whole 32-byte blocks go to
+// FillPatternBlocks where the CPU has AVX2 (useAVX2); the rest goes a
+// word per step through the carry table (see patCarry): a lookup, a
+// compare, a broadcast multiply and a carry-free bytewise add build eight
+// bytes, stored at once, and x advances by patStep. Disk reads regenerate
+// volume content through this on every DMA, so it is on the simulation
+// hot path.
 //
 // The word expression is repeated in checkPatternSum rather than shared
 // through a helper: profiles attribute an inlined helper to its own
@@ -104,6 +106,11 @@ func FillPattern(buf []byte, off uint64) { FillPatternSeeded(buf, off, 0) }
 func FillPatternSeeded(buf []byte, off, seed uint64) {
 	x := (off+seed*patSeedMul)*patMul + patAdd
 	i := 0
+	if useAVX2 && len(buf) >= 32 {
+		i = len(buf) &^ 31
+		FillPatternBlocks(buf[:i], x)
+		x += uint64(i) * patMul
+	}
 	for ; i+8 <= len(buf); i += 8 {
 		c := &patTable[uint8(x>>48)]
 		v := c.lo
@@ -140,15 +147,21 @@ func CheckPatternSeeded(buf []byte, off, seed uint64) int {
 // sum. buf must start at an even offset of the checksummed data, since
 // its words pair from its first byte.
 //
-// Each expected word is built as FillPatternSeeded builds it and compared
-// with the loaded one; the lowest set byte of a nonzero difference is the
-// first mismatch, since the words are little-endian. The loaded word's
-// 32-bit halves go into a little-endian accumulator, as in SumBytes. Past
-// a mismatch SumBytes sums the rest.
+// Where the CPU has AVX2, checkPatternSumBlocks first takes whole 32-byte
+// blocks up to the first one that differs, and the word loop goes on
+// from there. Each expected word is built as FillPatternSeeded builds it
+// and compared with the loaded one; the lowest set byte of a nonzero
+// difference is the first mismatch, since the words are little-endian.
+// The loaded word's 32-bit halves go into a little-endian accumulator, as
+// in SumBytes. Past a mismatch SumBytes sums the rest.
 func checkPatternSum(buf []byte, off, seed uint64, sum uint32) (int, uint32) {
 	x := (off+seed*patSeedMul)*patMul + patAdd
 	var acc, d uint64
 	i := 0
+	if useAVX2 && len(buf) >= 32 {
+		i, acc = checkPatternSumBlocks(buf[:len(buf)&^31], x)
+		x += uint64(i) * patMul
+	}
 	for ; i+8 <= len(buf); i += 8 {
 		c := &patTable[uint8(x>>48)]
 		v := c.lo

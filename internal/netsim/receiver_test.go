@@ -136,22 +136,27 @@ func fuzzFrame(n uint16, seq, vol uint32, seed uint64, flags uint8, edit, at uin
 // sequence number and the last error must agree, and nothing may panic.
 // Each frame is delivered twice, so the second copy also exercises a
 // sequence error; flag bits 64 and 128 start the receiver out of
-// sequence. testdata/fuzz holds a seed for each failure class.
+// sequence. Every frame goes through each kernel path (eachPath).
+// testdata/fuzz holds a seed for each failure class, and pattern
+// mismatches in the first and the last full 32-byte block of a payload
+// behind a checksum the mismatch leaves valid.
 func FuzzReceiverDeliver(f *testing.F) {
 	f.Add(uint16(1032), uint32(0), uint32(0), uint64(0), uint8(1), uint16(0), uint16(0), []byte{})
 	f.Add(uint16(0), uint32(0), uint32(0), uint64(0), uint8(32), uint16(0), uint16(0), []byte("arbitrary bytes"))
 	f.Fuzz(func(t *testing.T, n uint16, seq, vol uint32, seed uint64, flags uint8, edit, at uint16, mask []byte) {
 		frame := fuzzFrame(n, seq, vol, seed, flags, edit, at, mask)
-		r := NewReceiver()
-		r.PatternSeed = seed
-		r.Restore(ReceiverState{NextSeq: seq ^ uint32(flags>>6)})
-		want := r.State()
-		for c := uint64(1); c <= 2; c++ {
-			r.Deliver(frame, c)
-			refDeliver(&want, seed, frame, c)
-			if got := r.State(); got != want {
-				t.Fatalf("delivery %d of %d bytes:\n got %+v\nwant %+v", c, len(frame), got, want)
+		eachPath(func() {
+			r := NewReceiver()
+			r.PatternSeed = seed
+			r.Restore(ReceiverState{NextSeq: seq ^ uint32(flags>>6)})
+			want := r.State()
+			for c := uint64(1); c <= 2; c++ {
+				r.Deliver(frame, c)
+				refDeliver(&want, seed, frame, c)
+				if got := r.State(); got != want {
+					t.Fatalf("%s delivery %d of %d bytes:\n got %+v\nwant %+v", path(), c, len(frame), got, want)
+				}
 			}
-		}
+		})
 	})
 }
