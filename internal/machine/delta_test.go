@@ -21,7 +21,7 @@ const writerKernel = `
 
 // TestDeltaSnapshotRestoreMatchesFull drives the delta-snapshot
 // primitive directly: a keyframe, two delta windows, and a second
-// machine restored keyframe → delta chain must be byte-identical (RAM
+// machine restored by walking the delta chain must be byte-identical (RAM
 // and registers) to the recording machine at the final point — while
 // the deltas stay small (only the dirtied pages).
 func TestDeltaSnapshotRestoreMatchesFull(t *testing.T) {
@@ -62,12 +62,10 @@ func TestDeltaSnapshotRestoreMatchesFull(t *testing.T) {
 		t.Fatalf("delta (%d bytes) is not smaller than the full snapshot (%d bytes)", deltaBytes, fullBytes)
 	}
 
-	// Materialize on a second machine: keyframe, then the chain.
+	// Materialize on a second machine: walk the chain newest first.
 	m2 := New(Config{ResetPC: 0x1000})
 	loadKernel(t, m2, writerKernel)
-	m2.Restore(key)
-	m2.ApplyRAMDelta(d1)
-	m2.RestoreDelta(d2)
+	walk(m2, nil, d2, d1, key)
 
 	if !bytes.Equal(m2.Bus.RAM(), m.Bus.RAM()) {
 		t.Fatal("chain-restored RAM differs from the recorded machine")
@@ -81,8 +79,7 @@ func TestDeltaSnapshotRestoreMatchesFull(t *testing.T) {
 	// that makes keyframe fallbacks for untracked captures mandatory).
 	m3 := New(Config{ResetPC: 0x1000})
 	loadKernel(t, m3, writerKernel)
-	m3.Restore(key)
-	m3.RestoreDelta(d2)
+	walk(m3, nil, d2, key)
 	if bytes.Equal(m3.Bus.RAM(), m.Bus.RAM()) {
 		t.Fatal("dropping delta d1 still reproduced the final RAM — deltas are not actually incremental")
 	}

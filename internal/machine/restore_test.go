@@ -5,19 +5,39 @@ import (
 	"testing"
 )
 
-// fullClearRestore is the reference Restore: clear all of RAM, copy the
-// chunks back, and rebuild the coverage map from them.
-func fullClearRestore(m *Machine, s *Snapshot) {
+// fullClearRestore is the reference restore of a chain given oldest
+// member first: clear all of RAM, copy every member's chunks in order,
+// rebuild the coverage map from all of them, and restore the newest
+// member's non-RAM state.
+func fullClearRestore(m *Machine, chain ...*Snapshot) {
 	ram := m.Bus.RAM()
 	clear(ram)
-	for _, ch := range s.RAM {
-		copy(ram[ch.Addr:], ch.Data)
-	}
-	m.restoreState(s)
 	m.CPU.SetWriteCoverage(0)
-	for _, ch := range s.RAM {
-		m.CPU.AddWriteCoverage(ch.Addr, uint32(len(ch.Data)))
+	for _, s := range chain {
+		for _, ch := range s.RAM {
+			copy(ram[ch.Addr:], ch.Data)
+			m.CPU.AddWriteCoverage(ch.Addr, uint32(len(ch.Data)))
+		}
 	}
+	m.restoreState(chain[len(chain)-1])
+}
+
+// walk restores m to chain[0] by the restore walk, chain newest member
+// first, from the page set start (nil: every page), the way the replayer
+// walks a checkpoint's chain: a full walk visits every member, a walk
+// from a dirty set stops once no page is left. It returns the number of
+// members visited.
+func walk(m *Machine, start []uint64, chain ...*Snapshot) int {
+	set := m.RestoreStart(start)
+	n := 0
+	for _, s := range chain {
+		n++
+		if !m.RestorePages(s, set) && start != nil {
+			break
+		}
+	}
+	m.RestoreFinish(chain[0], set)
+	return n
 }
 
 // poke writes n nonzero bytes at addr through the bus, so the
@@ -33,12 +53,16 @@ func poke(t *testing.T, m *Machine, addr uint32, n int, seed byte) {
 	}
 }
 
-// TestRestoreCoverageExact pins the coverage-bounded Restore: a machine
-// with stray bytes in many coverage blocks — inside the snapshot's
-// chunks, in the gaps between them, in blocks no chunk touches, and in
-// the saturated bit-63 region of a machine above 64 MB — must restore to
-// the byte-identical RAM and coverage map a restore that clears all of
-// memory produces, for a keyframe and for a keyframe-plus-delta chain.
+// TestRestoreCoverageExact pins the coverage-bounded restore walk: a
+// machine with stray bytes in many coverage blocks — inside the
+// snapshot's chunks, in the gaps between them, in blocks no chunk
+// touches, and in the saturated bit-63 region of a machine above 64 MB —
+// must restore to the byte-identical RAM and coverage map a restore that
+// clears all of memory produces, for a keyframe, for a keyframe-plus-delta
+// chain, and for undo walks: from the dirty set of one delta window
+// written after a full restore, one whose pages the deltas all hold, so
+// the walk stops before the keyframe, and one with a page no member
+// holds, which the walk zeroes after visiting the keyframe.
 func TestRestoreCoverageExact(t *testing.T) {
 	const mb = 1 << 20
 	for _, ramBytes := range []int{16 * mb, 66 * mb} {
@@ -84,27 +108,48 @@ func TestRestoreCoverageExact(t *testing.T) {
 			return m
 		}
 
-		for _, chain := range []bool{false, true} {
-			name := map[bool]string{false: "keyframe", true: "delta chain"}[chain]
-			restore := func(m *Machine, full func(*Machine, *Snapshot)) {
-				full(m, key)
-				if chain {
-					m.ApplyRAMDelta(d1)
-					m.RestoreDelta(d2)
+		chain := []*Snapshot{key, d1, d2}
+		// undo fully restores d2, writes the given pages, and walks back
+		// to d2 from their dirty set, which must end at the given member.
+		undo := func(name string, pokes []uint32, members int) func(*Machine) {
+			return func(m *Machine) {
+				walk(m, nil, d2, d1, key)
+				m.CPU.SetDirtyTracking(true)
+				for i, a := range pokes {
+					poke(t, m, a, 40, byte(0x40+i))
+				}
+				if n := walk(m, m.CPU.DirtyPages(), d2, d1, key); n != members {
+					t.Fatalf("%d MB %s: the walk visited %d members, want %d", size/mb, name, n, members)
 				}
 			}
+		}
+		type restoreCase struct {
+			name    string
+			restore func(*Machine)
+			ref     []*Snapshot
+		}
+		cases := []restoreCase{
+			{"keyframe", func(m *Machine) { m.Restore(key) }, chain[:1]},
+			{"delta chain", func(m *Machine) { walk(m, nil, d2, d1, key) }, chain},
+			// Pages of d2, and one of d1 that d2 does not hold.
+			{"undo", undo("undo", []uint32{9*mb + 8192 + 100, size - 3*mb, 2*mb + 0x10100}, 2), chain},
+			// A page only the keyframe holds, and one no member holds.
+			{"undo to keyframe", undo("undo to keyframe", []uint32{2*mb + 0x11010, 2*mb + 0x90000}, 3), chain},
+		}
+
+		for _, c := range cases {
 			got, ref := dirty(), dirty()
-			restore(got, (*Machine).Restore)
-			restore(ref, fullClearRestore)
+			c.restore(got)
+			fullClearRestore(ref, c.ref...)
 			if i := firstDiff(got.Bus.RAM(), ref.Bus.RAM()); i >= 0 {
 				t.Fatalf("%d MB %s: RAM differs from a full-clear restore at %#x: %#x, want %#x",
-					size/mb, name, i, got.Bus.RAM()[i], ref.Bus.RAM()[i])
+					size/mb, c.name, i, got.Bus.RAM()[i], ref.Bus.RAM()[i])
 			}
 			if g, w := got.CPU.WriteCoverage(), ref.CPU.WriteCoverage(); g != w {
-				t.Fatalf("%d MB %s: coverage %#x, full-clear restore gives %#x", size/mb, name, g, w)
+				t.Fatalf("%d MB %s: coverage %#x, full-clear restore gives %#x", size/mb, c.name, g, w)
 			}
-			if chain && !bytes.Equal(got.Bus.RAM(), src.Bus.RAM()) {
-				t.Fatalf("%d MB %s: RAM differs from the recorded machine", size/mb, name)
+			if len(c.ref) > 1 && !bytes.Equal(got.Bus.RAM(), src.Bus.RAM()) {
+				t.Fatalf("%d MB %s: RAM differs from the recorded machine", size/mb, c.name)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package machine
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 
 	"lvmm/internal/cpu"
 	"lvmm/internal/hw/nic"
@@ -119,8 +120,10 @@ func (m *Machine) Snapshot() *Snapshot {
 // (CPU, devices, clock and accounting — all small), but only the RAM
 // pages the CPU's dirty-page tracking marked since the last
 // ResetDirtyPages. Adjacent dirty pages coalesce into one chunk. A delta
-// is only restorable on top of the state it was taken against (keyframe
-// plus any intervening deltas, applied in order with ApplyRAMDelta).
+// is only restorable together with the state it was taken against: a
+// restore walk (RestoreStart) visits it, then each earlier delta of its
+// chain, then the keyframe, and each page takes its content from the
+// newest of them that holds it.
 //
 // The second return is false when dirty tracking is off; the snapshot is
 // then a full sparse capture (identical to Snapshot) and must be treated
@@ -190,96 +193,99 @@ func (m *Machine) snapshotState() *Snapshot {
 // devices. The event queue is cleared and devices re-arm their pending
 // events at the snapshot's absolute cycles. The machine must have the
 // same RAM size as the snapshot (i.e., be built from the same Config).
-//
-// The write-coverage map proves a clear block is still zero, so only
-// covered blocks are cleared, and within them only the bytes no chunk
-// overwrites: one in-order pass clears the gap before each chunk, then
-// copies it. As with Release, a direct write to RAM that bypassed the
-// bus would escape the map and survive the restore.
+// It is the restore walk of a one-member chain, started from every page.
 func (m *Machine) Restore(s *Snapshot) {
-	ram := m.Bus.RAM()
-	cov := m.CPU.WriteCoverage()
-	done := 0 // RAM below this offset is final
-	for _, ch := range s.RAM {
-		clearCovered(ram, cov, done, int(ch.Addr))
-		if end := int(ch.Addr) + copy(ram[ch.Addr:], ch.Data); end > done {
-			done = end
+	set := m.RestoreStart(nil)
+	m.RestorePages(s, set)
+	m.RestoreFinish(s, set)
+}
+
+// RestoreSet is the state of one restore walk, the one way RAM is
+// rewound to a snapshot's image. The walk starts from a page set — every
+// page for a full restore, the pages dirtied since the image for an undo
+// restore — and visits the snapshot's chain newest member first: the
+// snapshot, the delta it was taken against, and so on down to a
+// keyframe. RestorePages gives each page still in the set its content in
+// the member at hand, so a page takes it from the newest member holding
+// it; RestoreFinish zeroes the pages no member held and restores the
+// non-RAM state of the snapshot.
+type RestoreSet struct {
+	pages  []uint64 // still to rewrite, one bit per page (the layout of cpu.DirtyPages)
+	left   int      // pages still in the set
+	oldCov uint64   // coverage map before the walk: no other block holds a stray byte
+	newCov uint64   // coverage map the walk leaves
+}
+
+// RestoreStart begins a restore walk from the page set dirty, or from
+// every page of RAM when dirty is nil; dirty itself is not modified. A
+// walk from every page rewrites all of RAM, so it rebuilds the
+// write-coverage map exactly from the pages it copies. A walk from a
+// dirty set leaves every other page as it was, so the map only grows.
+func (m *Machine) RestoreStart(dirty []uint64) *RestoreSet {
+	set := &RestoreSet{oldCov: m.CPU.WriteCoverage()}
+	if dirty != nil {
+		set.pages, set.newCov = slices.Clone(dirty), set.oldCov
+		for _, w := range dirty {
+			set.left += bits.OnesCount64(w)
 		}
+		return set
 	}
-	clearCovered(ram, cov, done, len(ram))
-	m.restoreState(s)
-	// Every byte outside the restored chunks is now zero (covered blocks
-	// were cleared, uncovered ones were zero already), so the
-	// write-coverage map restarts at exactly the restored image's extent.
-	m.CPU.SetWriteCoverage(0)
-	for _, ch := range s.RAM {
-		m.CPU.AddWriteCoverage(ch.Addr, uint32(len(ch.Data)))
+	n := (len(m.Bus.RAM()) + isa.PageMask) >> isa.PageShift
+	set.pages, set.left = make([]uint64, (n+63)/64), n
+	for p := range n {
+		set.pages[p>>6] |= 1 << (p & 63)
 	}
+	return set
 }
 
-// ApplyRAMDelta copies a delta snapshot's RAM chunks over the current
-// memory image without zeroing anything else. The machine must already
-// hold the state the delta was taken against (the keyframe plus earlier
-// deltas of the chain); non-RAM state is untouched, so intermediate
-// chain steps cost only the page copies. Callers must finish the chain
-// with RestoreDelta (or a full Restore) so the CPU decode cache is
-// re-synchronized with the rewritten memory.
-func (m *Machine) ApplyRAMDelta(s *Snapshot) {
+// RestorePages copies each page of s's RAM chunks that is still in the
+// set and takes it out, and reports whether any page is left. Chunks
+// hold whole pages inside RAM (keyframes capture 64 KB chunks, deltas
+// page runs, and the trace reader refuses any other); only a chunk
+// ending at the end of RAM may end in part of a page. The coverage map
+// grows with every copy, so it stays a superset of the written blocks
+// however far the walk gets.
+func (m *Machine) RestorePages(s *Snapshot, set *RestoreSet) bool {
 	ram := m.Bus.RAM()
+	var cov uint64
 	for _, ch := range s.RAM {
-		copy(ram[ch.Addr:], ch.Data)
-		m.CPU.AddWriteCoverage(ch.Addr, uint32(len(ch.Data)))
-	}
-}
-
-// RestoreDelta applies the final delta of a checkpoint chain: its RAM
-// pages on top of the current image, then the complete non-RAM state.
-func (m *Machine) RestoreDelta(s *Snapshot) {
-	m.ApplyRAMDelta(s)
-	m.restoreState(s)
-}
-
-// CopyPages is the page-granular ApplyRAMDelta: every page set in pages
-// (one bit per physical page, the layout of cpu.DirtyPages) that one of
-// s's RAM chunks holds gets the chunk's bytes, and its bit is cleared.
-// An undo restore calls it for each member of a checkpoint's chain,
-// newest first, so each page takes its content from the newest member
-// holding it. Chunks hold whole pages: keyframes capture 64 KB chunks
-// and deltas page runs.
-func (m *Machine) CopyPages(s *Snapshot, pages []uint64) {
-	ram := m.Bus.RAM()
-	for _, ch := range s.RAM {
-		end := min(int(ch.Addr)+len(ch.Data), len(ram))
-		for off := int(ch.Addr) &^ isa.PageMask; off < end; off += isa.PageSize {
+		for i := 0; i < len(ch.Data); i += isa.PageSize {
+			off := int(ch.Addr) + i
 			p := off >> isa.PageShift
-			if pages[p>>6]&(1<<(p&63)) == 0 {
+			if set.pages[p>>6]&(1<<(p&63)) == 0 {
 				continue
 			}
-			pages[p>>6] &^= 1 << (p & 63)
-			lo, hi := max(off, int(ch.Addr)), min(off+isa.PageSize, end)
-			copy(ram[lo:hi], ch.Data[lo-int(ch.Addr):])
-			m.CPU.AddWriteCoverage(uint32(lo), uint32(hi-lo))
+			set.pages[p>>6] &^= 1 << (p & 63)
+			set.left--
+			copy(ram[off:], ch.Data[i:min(i+isa.PageSize, len(ch.Data))])
+			cov |= 1 << min(off>>cpu.CovShift, 63)
 		}
 	}
+	set.newCov |= cov
+	m.CPU.SetWriteCoverage(m.CPU.WriteCoverage() | cov)
+	return set.left > 0
 }
 
-// RestorePages finishes an undo restore to s once CopyPages has walked
-// s's chain: the pages still set in pages were held by no member, so
-// they are zero in s's image and are cleared here, and then the complete
-// non-RAM state is restored as RestoreDelta does. Every page not set in
-// pages before the walk must already hold s's image. The coverage map
-// only grows, so it stays a superset of the written blocks.
-func (m *Machine) RestorePages(s *Snapshot, pages []uint64) {
+// RestoreFinish ends the walk to s. The pages still in the set were held
+// by no member, so they are zero in s's image: they are cleared where
+// the coverage map from before the walk marks their 1 MB block as
+// possibly written, and are zero already everywhere else. Then the map
+// is set to the walk's and the complete non-RAM state is restored. As
+// with Release, a direct write to RAM that bypassed the bus would escape
+// the map and survive the restore.
+func (m *Machine) RestoreFinish(s *Snapshot, set *RestoreSet) {
 	ram := m.Bus.RAM()
-	for i, word := range pages {
-		for word != 0 {
-			p := i<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			if lo := p << isa.PageShift; lo < len(ram) {
-				clear(ram[lo:min(lo+isa.PageSize, len(ram))])
-			}
+	for i, w := range set.pages {
+		// Word i holds the 64 pages at i<<(6+PageShift), inside one block.
+		if w == 0 || set.oldCov&(1<<min(i<<(6+isa.PageShift)>>cpu.CovShift, 63)) == 0 {
+			continue
+		}
+		for ; w != 0; w &= w - 1 {
+			lo := (i<<6 + bits.TrailingZeros64(w)) << isa.PageShift
+			clear(ram[lo:min(lo+isa.PageSize, len(ram))])
 		}
 	}
+	m.CPU.SetWriteCoverage(set.newCov)
 	m.restoreState(s)
 }
 

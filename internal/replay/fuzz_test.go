@@ -10,9 +10,10 @@ import (
 // fuzzSeeds builds the shared seed corpus for the trace-reader fuzzers:
 // a real streamed v3 container (with deltas), the v2 golden fixture,
 // header-only stubs, and truncated/corrupted variants of the valid
-// container (one with only a keyframe's gzip CRC damaged). The fuzzer mutates from these, so every structural layer —
-// magic, trailer, seek index, segment framing, gzip, gob — starts from
-// an input that actually parses.
+// container (one with only a keyframe's gzip CRC damaged, one whose
+// first keyframe holds a chunk outside RAM). The fuzzer mutates from
+// these, so every structural layer — magic, trailer, seek index, segment
+// framing, gzip, gob — starts from an input that actually parses.
 func fuzzSeeds(f *testing.F) [][]byte {
 	f.Helper()
 	v3 := streamTrapDense(f, Options{SnapshotInterval: 50_000_000, KeyframeEvery: 2, EventBatch: 32})
@@ -24,6 +25,7 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	corrupt[len(corrupt)/2] ^= 0xFF
 
 	badCRC, _ := corruptKeyframeCRC(f, v3)
+	badChunk := editCheckpoint(f, v3, 0, outOfRAM)
 
 	noTrailer := append([]byte(nil), v3...)
 	copy(noTrailer[len(noTrailer)-16:], make([]byte, 16))
@@ -33,6 +35,7 @@ func fuzzSeeds(f *testing.F) [][]byte {
 		v2,
 		corrupt,
 		badCRC,
+		badChunk,
 		noTrailer,
 		v3[:len(v3)/2],
 		v3[:24],
@@ -80,12 +83,15 @@ func FuzzSegmentReader(f *testing.F) {
 // FuzzOpenSourceFile throws arbitrary bytes at the whole trace-opening
 // surface — format sniffing, the lazy v3 path, and the monolithic v2
 // loader — then drives the returned Source the way a replay session
-// would. Every call must return data or an error; panics and unbounded
+// would, restores included: a replayer attached to one trap-dense
+// machine, reused across iterations, restores every checkpoint it can.
+// Every call must return data or an error; panics and unbounded
 // allocations are the bugs this fuzzer exists to find.
 func FuzzOpenSourceFile(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
 	}
+	m, v := buildTrapDense(f, false)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.trc")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -118,13 +124,20 @@ func FuzzOpenSourceFile(f *testing.F) {
 		if cps > 64 {
 			cps = 64
 		}
+		decodable := 0
 		for i := 0; i < cps; i++ {
 			cm := src.CheckpointMeta(i)
 			_ = src.ByIndex(cm.Index)
 			if _, err := src.Checkpoint(i); err != nil {
 				break
 			}
+			decodable++
 		}
 		_ = src.FreshIndex()
+
+		r := &Replayer{src: src, m: m, v: v, liveBase: -1}
+		for i := 0; i < decodable; i++ {
+			_ = r.restoreCheckpoint(i)
+		}
 	})
 }

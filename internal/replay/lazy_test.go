@@ -258,8 +258,10 @@ func TestLazyEvictionReFaultDifferential(t *testing.T) {
 		mF, vF := buildTrapDense(t, slow)
 		rpF := replayerFor(t, data, mF, vF, nil)
 		// Subject: lazy replay with a budget far below the decoded trace
-		// (one snapshot at a time, roughly), forcing eviction traffic.
-		lt := lazyOpen(t, data, 96<<10)
+		// (about one delta snapshot; a keyframe is held alone), forcing
+		// eviction traffic. A restore walk decodes each chain member
+		// once, so at 96 KB this session re-faults nothing.
+		lt := lazyOpen(t, data, 32<<10)
 		mL, vL := buildTrapDense(t, slow)
 		rpL, err := NewReplayerSource(lt, mL, vL, nil)
 		if err != nil {

@@ -2,7 +2,6 @@ package replay
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"lvmm/internal/gdbstub"
@@ -83,10 +82,6 @@ func NewReplayerSource(src *LazyTrace, m *machine.Machine, v *vmm.VMM, recv *net
 	cp0, err := src.Checkpoint(0)
 	if err != nil {
 		return nil, err
-	}
-	if cp0.Machine.RAMSize != m.Bus.RAMSize() {
-		return nil, fmt.Errorf("replay: trace RAM size %d, machine has %d",
-			cp0.Machine.RAMSize, m.Bus.RAMSize())
 	}
 	if cp0.Delta {
 		return nil, fmt.Errorf("replay: trace's first checkpoint is a delta")
@@ -220,28 +215,25 @@ func (r *Replayer) consumeInput(idx int) {
 }
 
 // restoreCheckpoint rewinds machine, monitor, and receiver to the
-// checkpoint at slice position i and realigns the replay cursors. It
-// takes one of two exact paths for the RAM image:
+// checkpoint at slice position i and realigns the replay cursors. RAM
+// is rewound by the restore walk (restoreWalk), which only needs a
+// starting page set:
 //
 //   - Undo: when undoable says the live state descends from an earlier
-//     checkpoint of the same stretch of timeline, only the pages dirtied
-//     since are rewritten (undoRestore), so restoring the checkpoint a
-//     reverse step just re-executed from costs O(pages it dirtied). A
-//     live state that descends from the rung, restoring a checkpoint at
-//     or before it, is first folded onto the rung's base (foldRung), so
-//     the checkpoint may lie between that base and the rung.
-//   - Full: otherwise, full restore of the keyframe, each intermediate
-//     delta's RAM pages applied in order, then the target delta's pages
-//     (fullRestore). The chain length is bounded by the recording's
-//     KeyframeEvery plus the rung, so this costs at most one full
-//     restore plus that many page-set copies.
+//     checkpoint of the same stretch of timeline, the walk starts from
+//     the pages dirtied since, so restoring the checkpoint a reverse step
+//     just re-executed from costs O(pages it dirtied). A live state that
+//     descends from the rung, restoring a checkpoint at or before it, is
+//     first folded onto the rung's base (foldRung), so the checkpoint may
+//     lie between that base and the rung.
+//   - Full: otherwise the walk starts from every page. The chain length
+//     is bounded by the recording's KeyframeEvery plus the rung, so this
+//     costs at most one pass over covered RAM plus that many page sets.
 //
-// Both restore the complete non-RAM state. Chain members decode on
-// demand (and re-fault from disk if the LRU evicted them); the chain is
-// validated as it is walked rather than at open, since walking every
-// chain up front would decode every snapshot segment.
-// TestSeekPathsMatchFullRestore and FuzzSeekScript pin the undo path to
-// the full one.
+// Both restore the complete non-RAM state. TestSeekPathsMatchFullRestore
+// and FuzzSeekScript pin the undo path to the full one, and
+// TestRestoreCoverageExact pins the walk from either start to a restore
+// that clears all of RAM.
 func (r *Replayer) restoreCheckpoint(i int) error {
 	cp, err := r.src.Checkpoint(i)
 	if err != nil {
@@ -250,18 +242,19 @@ func (r *Replayer) restoreCheckpoint(i int) error {
 	if r.tracked() {
 		r.foldRung(cp)
 	}
-	undo := r.undoable(cp)
+	var dirty []uint64 // nil: every page
+	if r.undoable(cp) {
+		dirty = r.m.CPU.DirtyPages()
+	}
 	// Until the restore completes the machine descends from no
 	// checkpoint: a chain member that fails to decode leaves it half
 	// rewritten.
 	r.liveBase = -1
-	if undo {
-		err = r.undoRestore(cp)
-	} else {
-		cp, err = r.fullRestore(i, cp)
-	}
-	if err != nil {
+	if err := r.restoreWalk(cp, dirty); err != nil {
 		return err
+	}
+	if dirty != nil {
+		r.undos++
 	}
 	if r.v != nil && cp.VMM != nil {
 		r.v.Restore(cp.VMM)
@@ -341,100 +334,56 @@ func (r *Replayer) foldRung(cp *Checkpoint) {
 	r.liveBase = c.Base
 }
 
-// undoRestore rewinds RAM to checkpoint cp's image by rewriting each
-// dirty page with its content in cp: from cp's delta chain, newest
-// member first, then its keyframe, and zero when no chunk holds the
-// page. The walk stops as soon as every dirty page has its content, so a
-// reverse step whose pages all sit in the nearby deltas never touches
-// the keyframe. The non-RAM state is restored in full.
-func (r *Replayer) undoRestore(cp *Checkpoint) error {
-	pages := slices.Clone(r.m.CPU.DirtyPages()) // still to rewrite
-	cur := cp
-	for depth := 1; ; depth++ {
-		r.m.CopyPages(cur.Machine, pages)
-		if !cur.Delta || !anySet(pages) {
+// restoreWalk rewinds the machine to checkpoint cp by the restore walk
+// (machine.RestoreSet) over cp's chain, from the page set dirty, or from
+// every page when dirty is nil. A walk from a dirty set stops once no
+// page is left, so a reverse step whose pages all sit in the nearby
+// deltas never touches the keyframe; a full walk visits every member
+// down to the keyframe. Members decode on demand, one at a time
+// (re-faulting from disk if the LRU evicted them), and the chain is
+// validated as it is walked rather than at open, since walking every
+// chain up front would decode every snapshot segment.
+func (r *Replayer) restoreWalk(cp *Checkpoint, dirty []uint64) error {
+	set := r.m.RestoreStart(dirty)
+	for cur, depth := cp, 1; ; depth++ {
+		if cur.Machine.RAMSize != r.m.Bus.RAMSize() {
+			return fmt.Errorf("replay: checkpoint %d has RAM size %d, machine has %d",
+				cur.Index, cur.Machine.RAMSize, r.m.Bus.RAMSize())
+		}
+		left := r.m.RestorePages(cur.Machine, set)
+		if !cur.Delta || !left && dirty != nil {
 			break
 		}
-		_, base, err := r.chainBase(cur, depth)
+		base, err := r.chainBase(cur, depth)
 		if err != nil {
 			return err
 		}
 		cur = base
 	}
-	r.m.RestorePages(cp.Machine, pages)
-	r.undos++
+	r.m.RestoreFinish(cp.Machine, set)
 	return nil
 }
 
-// fullRestore rewinds RAM to checkpoint cp (slice position i) from its
-// keyframe up and restores the complete non-RAM state. It returns cp
-// re-materialized: chain members are decoded one at a time so a lazy
-// source never needs the whole chain resident at once.
-func (r *Replayer) fullRestore(i int, cp *Checkpoint) (*Checkpoint, error) {
-	if !cp.Delta {
-		r.m.Restore(cp.Machine)
-		return cp, nil
-	}
-	// Chain positions, target first.
-	chain := []int{i}
-	for cur := cp; cur.Delta; {
-		b, base, err := r.chainBase(cur, len(chain))
-		if err != nil {
-			return nil, err
-		}
-		chain = append(chain, b)
-		cur = base
-	}
-	// Keyframe first, then each intermediate delta's pages.
-	key, err := r.src.Checkpoint(chain[len(chain)-1])
-	if err != nil {
-		return nil, err
-	}
-	r.m.Restore(key.Machine)
-	for j := len(chain) - 2; j >= 1; j-- {
-		mid, err := r.src.Checkpoint(chain[j])
-		if err != nil {
-			return nil, err
-		}
-		r.m.ApplyRAMDelta(mid.Machine)
-	}
-	if cp, err = r.src.Checkpoint(i); err != nil {
-		return nil, err
-	}
-	r.m.RestoreDelta(cp.Machine)
-	return cp, nil
-}
-
-// chainBase materializes the checkpoint delta cur was taken against and
-// returns it with its slice position, checking that it exists and lies
-// earlier on the timeline; depth is how many chain members were walked
-// before cur's base, which bounds a cyclic chain.
-func (r *Replayer) chainBase(cur *Checkpoint, depth int) (int, *Checkpoint, error) {
+// chainBase materializes the checkpoint delta cur was taken against,
+// checking that it exists and lies earlier on the timeline; depth is how
+// many chain members were walked before cur's base, which bounds a
+// cyclic chain.
+func (r *Replayer) chainBase(cur *Checkpoint, depth int) (*Checkpoint, error) {
 	b := r.src.ByIndex(cur.Base)
 	if b < 0 {
-		return 0, nil, fmt.Errorf("replay: checkpoint %d's base %d is missing", cur.Index, cur.Base)
+		return nil, fmt.Errorf("replay: checkpoint %d's base %d is missing", cur.Index, cur.Base)
 	}
 	base, err := r.src.Checkpoint(b)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	if base.Instr > cur.Instr || base == cur {
-		return 0, nil, fmt.Errorf("replay: checkpoint %d's base %d is not earlier on the timeline", cur.Index, cur.Base)
+		return nil, fmt.Errorf("replay: checkpoint %d's base %d is not earlier on the timeline", cur.Index, cur.Base)
 	}
 	if depth > r.src.NumCheckpoints() {
-		return 0, nil, fmt.Errorf("replay: delta checkpoint chain does not terminate")
+		return nil, fmt.Errorf("replay: delta checkpoint chain does not terminate")
 	}
-	return b, base, nil
-}
-
-// anySet reports whether any bit of a page bitmap is set.
-func anySet(pages []uint64) bool {
-	for _, w := range pages {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
+	return base, nil
 }
 
 // RunToEnd replays the whole trace with verification on: external inputs

@@ -8,6 +8,9 @@ import (
 	"os"
 	"slices"
 	"sort"
+
+	"lvmm/internal/isa"
+	"lvmm/internal/machine"
 )
 
 // SegmentReader opens a v3 container through its seek-index footer and
@@ -181,7 +184,32 @@ func (sr *SegmentReader) DecodeCheckpoint(i int) (*Checkpoint, error) {
 	if cp.Index != si.Checkpoint {
 		return nil, fmt.Errorf("replay: segment %d decodes checkpoint #%d, index says #%d", i, cp.Index, si.Checkpoint)
 	}
+	if err := checkRAMChunks(cp.Machine); err != nil {
+		return nil, fmt.Errorf("replay: segment %d: %w", i, err)
+	}
 	return &cp, nil
+}
+
+// checkRAMChunks refuses a snapshot whose RAM chunks a restore walk
+// cannot apply: every chunk must start on a page boundary, hold whole
+// pages unless it ends exactly at RAMSize, follow the previous chunk
+// without overlapping it, and end within RAMSize. The walk checks each
+// chain member's RAMSize against the machine's.
+func checkRAMChunks(s *machine.Snapshot) error {
+	if s == nil {
+		return fmt.Errorf("checkpoint has no machine snapshot")
+	}
+	prev := uint64(0)
+	for j, ch := range s.RAM {
+		lo, hi := uint64(ch.Addr), uint64(ch.Addr)+uint64(len(ch.Data))
+		if lo&isa.PageMask != 0 || hi&isa.PageMask != 0 && hi != uint64(s.RAMSize) ||
+			lo < prev || hi > uint64(s.RAMSize) {
+			return fmt.Errorf("RAM chunk %d [%#x, %#x) is not whole pages in order within %#x bytes of RAM",
+				j, lo, hi, s.RAMSize)
+		}
+		prev = hi
+	}
+	return nil
 }
 
 // DefaultLRUBudget is the decoded-segment cache budget a lazy replay

@@ -156,7 +156,8 @@ type Checkpoint struct {
 
 	// Delta marks a delta checkpoint: Machine.RAM holds only the pages
 	// dirtied since the checkpoint whose Index is Base. Restoring one
-	// materializes its keyframe and applies the delta chain in order.
+	// walks its chain newest member first, down to the keyframe, each
+	// page taking its content from the newest member holding it.
 	// Keyframes (and every v2 checkpoint) have Delta false.
 	Delta bool
 	Base  int

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/gob"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"lvmm/internal/machine"
 )
 
 func TestNearestCheckpoint(t *testing.T) {
@@ -99,6 +102,68 @@ func TestDecodeSegmentChecksCRC(t *testing.T) {
 		}
 		if _, err := sr.DecodeCheckpoint(seg); (err == nil) != c.ok {
 			t.Fatalf("keyframe decode (intact CRC %v): %v", c.ok, err)
+		}
+	}
+}
+
+// editCheckpoint returns a copy of a v3 container, rewritten through
+// Trace.Write, in which edit has changed checkpoint i.
+func editCheckpoint(t testing.TB, data []byte, i int, edit func(cp *Checkpoint)) []byte {
+	t.Helper()
+	tr := readBack(t, data)
+	edit(&tr.Checkpoints[i])
+	return encode(t, tr)
+}
+
+// outOfRAM appends a chunk at RAM + 4 KB to a checkpoint's snapshot: the
+// keyframe edit that once made the rewind of NewReplayerSource panic.
+func outOfRAM(cp *Checkpoint) {
+	s := cp.Machine
+	s.RAM = append(s.RAM, machine.RAMChunk{Addr: s.RAMSize + 4096, Data: make([]byte, 4096)})
+}
+
+// TestRestoreRefusesBadRAMChunks pins the trust boundary in front of the
+// restore walk. A checkpoint with no machine snapshot, or whose RAM
+// chunks start off a page boundary, hold part of a page, overlap, or lie
+// outside RAM, is refused when decoded: a keyframe chunk at RAM + 4 KB
+// must fail the rewind in NewReplayerSource with an error, not a
+// slice-bounds panic, and a chunk running past the end of RAM must not
+// be truncated silently. A chain member whose RAM size differs from the
+// machine's is refused by the walk that reaches it, also when it is not
+// the checkpoint restored.
+func TestRestoreRefusesBadRAMChunks(t *testing.T) {
+	data := streamTrapDense(t, Options{SnapshotInterval: 15_000_000, KeyframeEvery: 4, EventBatch: 32})
+	cps := readBack(t, data).Checkpoints
+	if len(cps) < 3 || !cps[2].Delta || cps[2].Base != cps[1].Index {
+		t.Fatal("trace's checkpoint 2 is not a delta taken against checkpoint 1")
+	}
+	m, v := buildTrapDense(t, false)
+	for _, c := range []struct {
+		name             string
+		edited, restored int
+		mutate           func(cp *Checkpoint)
+	}{
+		{"chunk past RAM", 0, 0, outOfRAM},
+		{"chunk running past RAM", 0, 0, func(cp *Checkpoint) {
+			s := cp.Machine
+			s.RAM = append(s.RAM, machine.RAMChunk{Addr: s.RAMSize - 4096, Data: make([]byte, 8192)})
+		}},
+		{"unaligned chunk", 0, 0, func(cp *Checkpoint) { cp.Machine.RAM[0].Addr += 16 }},
+		{"part of a page", 0, 0, func(cp *Checkpoint) { cp.Machine.RAM[0].Data = cp.Machine.RAM[0].Data[:100] }},
+		{"overlapping chunks", 0, 0, func(cp *Checkpoint) { cp.Machine.RAM = append(cp.Machine.RAM, cp.Machine.RAM[0]) }},
+		{"no machine snapshot", 0, 0, func(cp *Checkpoint) { cp.Machine = nil }},
+		{"chain member RAM size", 1, 2, func(cp *Checkpoint) { cp.Machine.RAMSize *= 2 }},
+	} {
+		bad := editCheckpoint(t, data, c.edited, c.mutate)
+		rp, err := NewReplayerSource(lazyOpen(t, bad, math.MaxInt64), m, v, nil)
+		if c.restored > 0 {
+			if err != nil {
+				t.Fatalf("%s: rewind to checkpoint 0: %v", c.name, err)
+			}
+			err = rp.restoreCheckpoint(c.restored)
+		}
+		if err == nil {
+			t.Fatalf("%s: restoring checkpoint %d succeeded", c.name, c.restored)
 		}
 	}
 }

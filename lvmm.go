@@ -16,7 +16,7 @@
 //	dbg.Interrupt()
 //	regs, _ := dbg.Regs()
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
+// See DESIGN.md for the system inventory and README.md for the
 // paper-versus-reproduction results.
 package lvmm
 
