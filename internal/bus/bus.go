@@ -33,11 +33,17 @@ type WriteNotify func(addr, n uint32)
 
 // Bus is the physical memory and I/O interconnect.
 type Bus struct {
-	ram         []byte
-	ports       map[uint16]portEntry
+	ram []byte
+	// ports decodes the 64K port space in two levels, by the port's high
+	// then low byte: a page exists once MapPorts put a handler in it, and
+	// an entry with a nil handler is unmapped. Every device window lies in
+	// one or two pages, so decoding is two indexed loads, without hashing.
+	ports       [256]*portPage
 	tap         PortTap
 	writeNotify WriteNotify
 }
+
+type portPage [256]portEntry
 
 type portEntry struct {
 	h    PortHandler
@@ -66,10 +72,7 @@ var ramFree struct {
 
 // New creates a bus with ramSize bytes of RAM (all zero).
 func New(ramSize int) *Bus {
-	return &Bus{
-		ram:   acquireRAM(ramSize),
-		ports: make(map[uint16]portEntry),
-	}
+	return &Bus{ram: acquireRAM(ramSize)}
 }
 
 func acquireRAM(n int) []byte {
@@ -114,11 +117,28 @@ func (b *Bus) InRAM(addr, n uint32) bool {
 }
 
 // MapPorts registers a handler for count consecutive ports starting at
-// base. The handler sees ports relative to base.
+// base. The handler sees ports relative to base. A port mapped again goes
+// to the latest handler.
 func (b *Bus) MapPorts(base uint16, count int, h PortHandler) {
 	for i := 0; i < count; i++ {
-		b.ports[base+uint16(i)] = portEntry{h: h, base: base}
+		p := base + uint16(i)
+		pg := b.ports[p>>8]
+		if pg == nil {
+			pg = new(portPage)
+			b.ports[p>>8] = pg
+		}
+		pg[p&0xFF] = portEntry{h: h, base: base}
 	}
+}
+
+// port returns the handler entry for port, or nil when it is unmapped.
+func (b *Bus) port(port uint16) *portEntry {
+	if pg := b.ports[port>>8]; pg != nil {
+		if e := &pg[port&0xFF]; e.h != nil {
+			return e
+		}
+	}
+	return nil
 }
 
 // SetPortTap installs an observer for all port traffic (nil to remove).
@@ -140,7 +160,7 @@ func (b *Bus) NotifyWrite(addr, n uint32) {
 // as on a real ISA/PCI bus; no fault is raised.
 func (b *Bus) ReadPort(port uint16) uint32 {
 	v := uint32(0xFFFFFFFF)
-	if e, ok := b.ports[port]; ok {
+	if e := b.port(port); e != nil {
 		v = e.h.PortRead(port - e.base)
 	}
 	if b.tap != nil {
@@ -151,7 +171,7 @@ func (b *Bus) ReadPort(port uint16) uint32 {
 
 // WritePort performs a port write; writes to unmapped ports are dropped.
 func (b *Bus) WritePort(port uint16, v uint32) {
-	if e, ok := b.ports[port]; ok {
+	if e := b.port(port); e != nil {
 		e.h.PortWrite(port-e.base, v)
 	}
 	if b.tap != nil {

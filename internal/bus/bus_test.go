@@ -71,6 +71,53 @@ func TestPortRelativeDecoding(t *testing.T) {
 	}
 }
 
+// TestOverlappingMapPorts: a port mapped twice goes to the latest
+// handler, relative to that handler's base; ports only the earlier call
+// covered keep the earlier handler and base, across a 256-port page edge
+// too.
+func TestOverlappingMapPorts(t *testing.T) {
+	b := New(64)
+	first := &echoDev{readVal: 1}
+	second := &echoDev{readVal: 2}
+	b.MapPorts(0x0F8, 16, first)  // 0x0F8..0x107, straddling a page edge
+	b.MapPorts(0x100, 4, second)  // 0x100..0x103 re-mapped
+	b.MapPorts(0xFFFE, 4, second) // wraps: 0xFFFE, 0xFFFF, 0x0000, 0x0001
+	cases := []struct {
+		port uint16
+		dev  *echoDev
+		rel  uint16
+	}{
+		{0x0F8, first, 0}, {0x0FF, first, 7}, {0x100, second, 0},
+		{0x103, second, 3}, {0x104, first, 12}, {0x107, first, 15},
+		{0xFFFF, second, 1}, {0x0000, second, 2}, {0x0001, second, 3},
+	}
+	for _, c := range cases {
+		if v := b.ReadPort(c.port); v != c.dev.readVal || c.dev.lastPort != c.rel {
+			t.Fatalf("port %#x: read %d at relative %d, want %d at %d", c.port, v, c.dev.lastPort, c.dev.readVal, c.rel)
+		}
+		b.WritePort(c.port, uint32(c.port))
+		if c.dev.lastPort != c.rel || c.dev.lastValue != uint32(c.port) {
+			t.Fatalf("port %#x: write went to relative %d", c.port, c.dev.lastPort)
+		}
+	}
+	for _, p := range []uint16{0x0F7, 0x108, 0x0002, 0xFFFD} {
+		if v := b.ReadPort(p); v != 0xFFFFFFFF {
+			t.Fatalf("port %#x mapped: read %x", p, v)
+		}
+	}
+}
+
+func TestPortLookupAllocationFree(t *testing.T) {
+	b := New(64)
+	b.MapPorts(0x3F8, 8, &echoDev{})
+	if n := testing.AllocsPerRun(100, func() {
+		b.WritePort(0x3F9, b.ReadPort(0x3F8))
+		b.ReadPort(0x1234)
+	}); n != 0 {
+		t.Fatalf("%v allocations per port access", n)
+	}
+}
+
 func TestUnmappedPortsFloat(t *testing.T) {
 	b := New(64)
 	if v := b.ReadPort(0x9999); v != 0xFFFFFFFF {

@@ -95,6 +95,7 @@ type CPU struct {
 	Diverter Diverter
 
 	bus    *bus.Bus
+	ram    []byte // bus.RAM(), for the predecoded tiers' load/store arms
 	halted bool
 	wedged bool
 
@@ -118,8 +119,8 @@ type CPU struct {
 
 	// dirtyPages, when non-nil, accumulates one bit per physical page
 	// written since the last ResetDirtyPages (delta-snapshot support;
-	// see dirty.go). Maintained by dcInvalidate, which observes every
-	// RAM write.
+	// see dirty.go). Maintained by the invalidation paths
+	// (dcInvalidate, storeInvalidate), which observe every RAM write.
 	dirtyPages []uint64
 
 	// writeCov is the write-coverage bitmap: bit b set means some write
@@ -127,7 +128,8 @@ type CPU struct {
 	// 1 MB block starting at b<<CovShift (bit 63 covers everything from
 	// 63 MB up). A clear bit proves its block has never been written and
 	// is therefore still zero — RAM starts zeroed and every writer
-	// funnels through dcInvalidate, which maintains the map. Sparse
+	// funnels through dcInvalidate or storeInvalidate, which maintain the
+	// map. Sparse
 	// consumers (keyframe snapshots, the replay digest) skip clear
 	// blocks instead of scanning all of installed memory (see dirty.go).
 	writeCov uint64
@@ -142,7 +144,7 @@ type CPU struct {
 	// chain-link request (a hot taken exit asking the next block lookup at
 	// sbLinkVA to install the edge). All derived, never serialized.
 	sbPages  []*sbPage
-	sbLink   *superblock
+	sbLink   *sbEdge
 	sbLinkVA uint32
 	sbStat   SBStats
 
@@ -207,11 +209,13 @@ type Stats struct {
 // New creates a CPU attached to a bus, in the reset state: PC=resetPC,
 // CPL0, interrupts and paging disabled.
 func New(b *bus.Bus, resetPC uint32) *CPU {
-	c := &CPU{bus: b}
+	c := &CPU{bus: b, ram: b.RAM()}
 	c.dcPages = make([]*decPage, (b.RAMSize()+isa.PageMask)>>isa.PageShift)
 	c.sbPages = make([]*sbPage, len(c.dcPages))
-	// Every write into RAM — CPU stores, page-walk A/D updates, device
-	// DMA, image loads — must drop predecoded instructions covering it.
+	// Every write into RAM must drop predecoded instructions covering it.
+	// The bus hook catches the writes made through the bus (device DMA,
+	// image loads, Step's stores); the predecoded tiers' stores and
+	// page-walk A/D updates write RAM directly and call storeInvalidate.
 	b.SetWriteNotify(c.dcInvalidate)
 	c.Reset(resetPC)
 	return c

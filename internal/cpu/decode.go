@@ -22,11 +22,13 @@ import "lvmm/internal/isa"
 // switch (measured ~3× slower on the Figure 3.1 macro benchmark). What
 // does invalidate a page:
 //
-//   - any write into it: CPU stores and page-walk A/D updates arrive via
-//     the bus write-notify hook installed at construction; MOVS/STOS and
-//     debugger WriteVirt patches invalidate directly (they bypass the bus
-//     write path and write RAM in place); device DMA arrives via the bus
-//     hook (bus.Write*/DMAWrite) or bus.NotifyWrite for in-place fills;
+//   - any write into it: the predecoded tiers' stores and page-walk A/D
+//     updates write RAM directly and call storeInvalidate, the one-slot
+//     funnel; MOVS/STOS and debugger WriteVirt patches call dcInvalidate
+//     directly (they write RAM in place); Step's stores, device DMA and
+//     image loads arrive via the bus write-notify hook installed at
+//     construction (bus.Write*/DMAWrite) or bus.NotifyWrite for in-place
+//     fills;
 //   - Reset and Restore (the cache starts cold after a snapshot restore,
 //     which is safe because decode state is invisible to the timeline: a
 //     cold cache re-decodes but charges identical cycles).
@@ -231,41 +233,32 @@ func (c *CPU) decodeLookup(pa uint32) *decoded {
 
 // dcInvalidate drops predecoded state covering [addr, addr+n). It is the
 // bus write-notify hook, and is also called directly by the in-place RAM
-// writers (MOVS/STOS, WriteVirt).
+// writers (MOVS/STOS, WriteVirt). Single stores and page-walk A/D updates
+// take storeInvalidate directly.
 //
-// Small writes (a store-sized span inside one page) clear just the touched
-// entries, keeping the page live: guest kernels routinely pack data into
-// the same 4 KB pages as code, and dropping the whole page on every such
-// store re-allocates and re-decodes it in a ping-pong that dominated the
-// macro benchmarks. Bulk writes (DMA, string ops) drop whole pages.
+// Small writes (a store-sized span inside one page) go through
+// storeInvalidate word by word, keeping the page live: guest kernels
+// routinely pack data into the same 4 KB pages as code, and dropping the
+// whole page on every such store re-allocates and re-decodes it in a
+// ping-pong that dominated the macro benchmarks. Bulk writes (DMA, string
+// ops) drop whole pages.
 func (c *CPU) dcInvalidate(addr, n uint32) {
 	if n == 0 {
 		return
-	}
-	c.writeCov |= coverageBits(addr, n)
-	if c.dirtyPages != nil {
-		c.markDirty(addr, n)
 	}
 	first := addr >> isa.PageShift
 	if first >= uint32(len(c.dcPages)) {
 		return
 	}
 	if (addr&isa.PageMask)+n <= isa.PageSize && n <= 8 {
-		i0 := (addr & isa.PageMask) >> 2
-		i1 := ((addr & isa.PageMask) + n - 1) >> 2
-		if pg := c.dcPages[first]; pg != nil {
-			for i := i0; i <= i1; i++ {
-				pg.ins[i].fn = fnUnset
-			}
-		}
-		// Superblocks copy their micro-ops, so per-entry clearing cannot
-		// reach them: bump the page epoch when the write lands inside the
-		// extent its blocks were built from (chain edges into the page
-		// validate against the same epoch).
-		if sp := c.sbPages[first]; sp != nil && sp.gen == c.dcGen && sp.lo <= i1 && i0 <= sp.hi {
-			sbInvalidatePage(sp)
+		for a := addr &^ 3; a < addr+n; a += 4 {
+			c.storeInvalidate(a)
 		}
 		return
+	}
+	c.writeCov |= coverageBits(addr, n)
+	if c.dirtyPages != nil {
+		c.markDirty(addr, n)
 	}
 	last := (addr + n - 1) >> isa.PageShift
 	if last >= uint32(len(c.dcPages)) {
@@ -279,6 +272,31 @@ func (c *CPU) dcInvalidate(addr, n uint32) {
 		if sp := c.sbPages[p]; sp != nil && sp.gen == c.dcGen {
 			sbInvalidatePage(sp)
 		}
+	}
+}
+
+// storeInvalidate is dcInvalidate for one write of at most one aligned
+// word at physical address pa, which must lie in RAM: every store the
+// predecoded tiers commit and every page-walk A/D update. Such a write
+// touches one coverage block, one page and one decode slot, so the funnel
+// sets one coverage bit and one dirty bit, clears one slot, and tests one
+// superblock extent — no span arithmetic and no call through the bus hook.
+func (c *CPU) storeInvalidate(pa uint32) {
+	blk := pa >> CovShift
+	if blk > 63 {
+		blk = 63
+	}
+	c.writeCov |= 1 << blk
+	pfn := pa >> isa.PageShift
+	if c.dirtyPages != nil {
+		c.dirtyPages[pfn>>6] |= 1 << (pfn & 63)
+	}
+	i := (pa & isa.PageMask) >> 2
+	if pg := c.dcPages[pfn]; pg != nil {
+		pg.ins[i].fn = fnUnset
+	}
+	if sp := c.sbPages[pfn]; sp != nil && sp.gen == c.dcGen && sp.lo <= i && i <= sp.hi {
+		sbInvalidatePage(sp)
 	}
 }
 
@@ -355,7 +373,7 @@ type BurstResume func() (horizon uint64, ok bool)
 //
 // Above the per-instruction path sits the superblock tier (superblock.go):
 // straight-line runs dispatch as predecoded blocks with one fetch
-// translation and one lookup per block entry, and hot taken edges chain
+// translation and one lookup per block entry, and hot exits chain
 // block→block. Blocks never run on armed exec pages and bail to this loop
 // on any invalidation, so the tier is invisible to the timeline.
 //
@@ -446,13 +464,10 @@ func (c *CPU) BurstRun(clk *uint64, horizon, maxTicks uint64, resume BurstResume
 		cyc := pend
 		pend = 0
 		if !pagingOff {
-			// Inline TLB fetch-hit path (mirrors translate's hit arm for a
-			// non-write access: matching live entry, user bit honored, zero
-			// cycles); everything else takes the full translate.
-			vpn := instPC >> isa.PageShift
-			e := &c.tlb[vpn%tlbEntries]
-			if e.Gen == c.tlbGen && e.VPN == vpn && (e.U || c.CPL() != isa.CPLUser) {
-				pa = e.PFN<<isa.PageShift | instPC&isa.PageMask
+			// Inline TLB fetch-hit path (translate's hit arm, zero cycles);
+			// everything else takes the full translate.
+			if hpa, ok := c.tlbHit(instPC, false, c.CPL() == isa.CPLUser); ok {
+				pa = hpa
 			} else {
 				var cause uint32
 				var tcyc uint64
@@ -506,7 +521,7 @@ func (c *CPU) BurstRun(clk *uint64, horizon, maxTicks uint64, resume BurstResume
 			if b := c.sbLookup(pa); b != nil {
 				if c.sbLink != nil {
 					if c.sbLinkVA == instPC {
-						c.sbLink.takenTo, c.sbLink.takenVA = b, instPC
+						c.sbLink.to, c.sbLink.va = b, instPC
 					}
 					c.sbLink = nil
 				}
@@ -629,10 +644,11 @@ func (c *CPU) fuseTrap(resume BurstResume) (uint64, bool) {
 
 // executeFast runs one predecoded straight-line instruction other than JAL
 // (which BurstRun executes inline): same results, trap causes and cycle
-// charges as execute. ALU results and branch conditions come from the
-// shared evaluator. The store arms gate the slow path's spy/watch tail
-// behind the armed write envelope (storeObserved): stores outside every
-// armed page skip it — observably identical, since the per-slot
+// charges as execute. ALU results, branch conditions and RAM accesses come
+// from the shared evaluator; a store's invalidation takes the one-slot
+// funnel (storeInvalidate). The store arms gate the slow path's spy/watch
+// tail behind the armed write envelope (storeObserved): stores outside
+// every armed page skip it — observably identical, since the per-slot
 // intersection checks would have missed — and stores inside run the
 // shared observedStore tail.
 func (c *CPU) executeFast(d *decoded, instPC uint32) StepResult {
@@ -656,105 +672,65 @@ func (c *CPU) executeFast(d *decoded, instPC uint32) StepResult {
 		return StepResult{Cycles: isa.CycBranch}
 	}
 	switch d.fn {
-	case fnLW:
+	case fnLW, fnLH, fnLHU, fnLB, fnLBU:
 		va := c.Regs[d.rs1] + d.imm
-		if va&3 != 0 {
+		if d.fn == fnLW && va&3 != 0 || d.fn <= fnLHU && va&1 != 0 {
 			return c.trapStep(isa.CauseAlign, va, instPC, isa.CycLoad)
 		}
 		pa, cause, extra := c.translate(va, false)
 		if cause != isa.CauseNone {
 			return c.trapStep(cause, va, instPC, isa.CycLoad+extra)
 		}
-		w, ok := c.bus.Read32(pa)
+		var v uint32
+		var ok bool
+		switch d.fn {
+		case fnLW:
+			v, ok = loadLW(c.ram, pa)
+		case fnLH:
+			v, ok = loadLH(c.ram, pa)
+		case fnLHU:
+			v, ok = loadLHU(c.ram, pa)
+		case fnLB:
+			v, ok = loadLB(c.ram, pa)
+		default:
+			v, ok = loadLBU(c.ram, pa)
+		}
 		if !ok {
 			return c.trapStep(isa.CauseBusError, va, instPC, isa.CycLoad+extra)
 		}
-		c.setReg(int(d.rd), w)
+		c.setReg(int(d.rd), v)
 		c.PC = instPC + 4
 		return StepResult{Cycles: isa.CycLoad + extra}
-	case fnLH, fnLHU:
+	case fnSW, fnSH, fnSB:
 		va := c.Regs[d.rs1] + d.imm
-		if va&1 != 0 {
-			return c.trapStep(isa.CauseAlign, va, instPC, isa.CycLoad)
+		size := uint32(1)
+		if d.fn == fnSW {
+			size = 4
+		} else if d.fn == fnSH {
+			size = 2
 		}
-		pa, cause, extra := c.translate(va, false)
-		if cause != isa.CauseNone {
-			return c.trapStep(cause, va, instPC, isa.CycLoad+extra)
-		}
-		h, ok := c.bus.Read16(pa)
-		if !ok {
-			return c.trapStep(isa.CauseBusError, va, instPC, isa.CycLoad+extra)
-		}
-		if d.fn == fnLH {
-			c.setReg(int(d.rd), uint32(int32(int16(h))))
-		} else {
-			c.setReg(int(d.rd), uint32(h))
-		}
-		c.PC = instPC + 4
-		return StepResult{Cycles: isa.CycLoad + extra}
-	case fnLB, fnLBU:
-		va := c.Regs[d.rs1] + d.imm
-		pa, cause, extra := c.translate(va, false)
-		if cause != isa.CauseNone {
-			return c.trapStep(cause, va, instPC, isa.CycLoad+extra)
-		}
-		b, ok := c.bus.Read8(pa)
-		if !ok {
-			return c.trapStep(isa.CauseBusError, va, instPC, isa.CycLoad+extra)
-		}
-		if d.fn == fnLB {
-			c.setReg(int(d.rd), uint32(int32(int8(b))))
-		} else {
-			c.setReg(int(d.rd), uint32(b))
-		}
-		c.PC = instPC + 4
-		return StepResult{Cycles: isa.CycLoad + extra}
-
-	case fnSW:
-		va := c.Regs[d.rs1] + d.imm
-		if va&3 != 0 {
+		if va&(size-1) != 0 {
 			return c.trapStep(isa.CauseAlign, va, instPC, isa.CycStore)
 		}
 		pa, cause, extra := c.translate(va, true)
 		if cause != isa.CauseNone {
 			return c.trapStep(cause, va, instPC, isa.CycStore+extra)
 		}
-		if !c.bus.Write32(pa, c.Regs[d.rd]) {
+		var ok bool
+		switch d.fn {
+		case fnSW:
+			ok = storeSW(c.ram, pa, c.Regs[d.rd])
+		case fnSH:
+			ok = storeSH(c.ram, pa, c.Regs[d.rd])
+		default:
+			ok = storeSB(c.ram, pa, c.Regs[d.rd])
+		}
+		if !ok {
 			return c.trapStep(isa.CauseBusError, va, instPC, isa.CycStore+extra)
 		}
-		if c.storeObserved(va, 4) {
-			return c.observedStore(va, 4, instPC, isa.CycStore+extra)
-		}
-		c.PC = instPC + 4
-		return StepResult{Cycles: isa.CycStore + extra}
-	case fnSH:
-		va := c.Regs[d.rs1] + d.imm
-		if va&1 != 0 {
-			return c.trapStep(isa.CauseAlign, va, instPC, isa.CycStore)
-		}
-		pa, cause, extra := c.translate(va, true)
-		if cause != isa.CauseNone {
-			return c.trapStep(cause, va, instPC, isa.CycStore+extra)
-		}
-		if !c.bus.Write16(pa, uint16(c.Regs[d.rd])) {
-			return c.trapStep(isa.CauseBusError, va, instPC, isa.CycStore+extra)
-		}
-		if c.storeObserved(va, 2) {
-			return c.observedStore(va, 2, instPC, isa.CycStore+extra)
-		}
-		c.PC = instPC + 4
-		return StepResult{Cycles: isa.CycStore + extra}
-	case fnSB:
-		va := c.Regs[d.rs1] + d.imm
-		pa, cause, extra := c.translate(va, true)
-		if cause != isa.CauseNone {
-			return c.trapStep(cause, va, instPC, isa.CycStore+extra)
-		}
-		if !c.bus.Write8(pa, byte(c.Regs[d.rd])) {
-			return c.trapStep(isa.CauseBusError, va, instPC, isa.CycStore+extra)
-		}
-		if c.storeObserved(va, 1) {
-			return c.observedStore(va, 1, instPC, isa.CycStore+extra)
+		c.storeInvalidate(pa)
+		if c.storeObserved(va, size) {
+			return c.observedStore(va, size, instPC, isa.CycStore+extra)
 		}
 		c.PC = instPC + 4
 		return StepResult{Cycles: isa.CycStore + extra}

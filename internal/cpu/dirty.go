@@ -4,14 +4,14 @@ import "lvmm/internal/isa"
 
 // Dirty physical-page tracking for delta snapshots (internal/replay).
 //
-// The decode cache's invalidation hook (dcInvalidate) already observes
-// every write into RAM — CPU stores, MOVS/STOS fills, page-walk A/D
-// updates, device DMA, debugger patches — because correctness of the
-// predecoded engine depends on it. Dirty tracking piggybacks on that
-// choke point: when enabled, every invalidation also sets a bit per
-// touched physical page, and a recorder drains the bitmap at each
-// periodic checkpoint to capture only the pages that changed since the
-// previous one. The tracking itself is timeline-neutral (no cycles, no
+// The decode cache's invalidation paths already observe every write into
+// RAM — storeInvalidate the CPU's single stores and page-walk A/D
+// updates, dcInvalidate MOVS/STOS fills, device DMA and debugger patches
+// — because correctness of the predecoded engine depends on it. Dirty
+// tracking piggybacks on those choke points: when enabled, every
+// invalidation also sets a bit per touched physical page, and a recorder
+// drains the bitmap at each periodic checkpoint to capture only the pages
+// that changed since the previous one. The tracking itself is timeline-neutral (no cycles, no
 // traps), so it does not disqualify predecoded bursts and recordings
 // stay bit-identical with and without it.
 
@@ -87,8 +87,8 @@ func coverageBits(addr, n uint32) uint64 {
 // write touched the 1 MB block at b<<CovShift (bit 63: 63 MB and up). A
 // clear bit proves the block is still zero — physical memory starts
 // zeroed and every writer (CPU stores, string ops, page-walk updates,
-// DMA, image loads, debugger patches) funnels through dcInvalidate,
-// which maintains the map. Sparse consumers (keyframe snapshots, the
+// DMA, image loads, debugger patches) funnels through dcInvalidate or
+// storeInvalidate, which maintain the map. Sparse consumers (keyframe snapshots, the
 // replay digest) skip clear blocks instead of scanning installed-but-
 // untouched memory.
 func (c *CPU) WriteCoverage() uint64 { return c.writeCov }

@@ -40,6 +40,9 @@ func (c *CPU) FlushTLB() { c.tlbGen++ }
 // translate maps a virtual address to physical for an access by the
 // current privilege level. Returns the physical address, a trap cause
 // (CauseNone on success), and extra cycles charged (TLB miss penalty).
+// Its hit arm has a twin, tlbHit (eval.go), which the predecoded tiers
+// inline; Step reaches memory only through this one, so the lockstep
+// differentials check the twin against it.
 func (c *CPU) translate(va uint32, write bool) (pa, cause uint32, cycles uint64) {
 	if !c.PagingEnabled() {
 		return va, isa.CauseNone, 0
@@ -97,17 +100,20 @@ func (c *CPU) walk(va uint32, write, user bool) (pa, cause uint32, cycles uint64
 		return 0, isa.CausePFProt, cycles
 	}
 
-	// Update accessed/dirty bits.
+	// Update accessed/dirty bits. Both entries are aligned words the
+	// reads above found in RAM, so they take the one-slot store funnel.
 	newPDE := pde | isa.PTEAccessed
 	if newPDE != pde {
-		c.bus.Write32(pdeAddr, newPDE)
+		storeSW(c.ram, pdeAddr, newPDE)
+		c.storeInvalidate(pdeAddr)
 	}
 	newPTE := pte | isa.PTEAccessed
 	if write {
 		newPTE |= isa.PTEDirty
 	}
 	if newPTE != pte {
-		c.bus.Write32(pteAddr, newPTE)
+		storeSW(c.ram, pteAddr, newPTE)
+		c.storeInvalidate(pteAddr)
 	}
 
 	vpn := va >> isa.PageShift

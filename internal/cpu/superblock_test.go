@@ -46,7 +46,7 @@ func burstVsStep(t *testing.T, slow, fast *CPU, horizon, maxTicks uint64) uint64
 	return total
 }
 
-// countingLoop is the canonical 2-op noMem self-loop: addi + bne, the
+// countingLoop is the canonical 2-op memory-free self-loop: addi + bne, the
 // shape the batched self-loop path batches.
 const countingLoopIters = 1000
 
@@ -66,7 +66,7 @@ func TestSuperblockFormation(t *testing.T) {
 	words := []uint32{
 		isa.EncodeI(isa.OpADDI, 1, 1, 1),
 		isa.EncodeI(isa.OpADDI, 2, 2, 2),
-		isa.EncodeI(isa.OpLW, 3, 15, 0), // memory op: block stays buildable, noMem false
+		isa.EncodeI(isa.OpLW, 3, 15, 0), // memory op: block stays buildable, loads only
 		isa.EncodeI(isa.OpBNE, 1, 2, -4),
 	}
 	for i, w := range words {
@@ -76,8 +76,8 @@ func TestSuperblockFormation(t *testing.T) {
 	if b == nil {
 		t.Fatal("no block built for a 4-op straight-line run")
 	}
-	if b.n != 4 || b.body != 3 || !b.term || b.noMem {
-		t.Fatalf("block shape: n=%d body=%d term=%v noMem=%v, want 4,3,true,false", b.n, b.body, b.term, b.noMem)
+	if b.n != 4 || b.body != 3 || !b.term || !b.noStore || b.nload != 1 {
+		t.Fatalf("block shape: n=%d body=%d term=%v noStore=%v nload=%d, want 4,3,true,true,1", b.n, b.body, b.term, b.noStore, b.nload)
 	}
 	wantMax := 2*uint64(isa.CycALU) + (isa.CycLoad + sbMemMax) + uint64(isa.CycTaken)
 	if b.cycMax != wantMax {
@@ -106,8 +106,8 @@ func TestSuperblockNoMemCycTaken(t *testing.T) {
 		c.Bus().Write32(base+uint32(i)*4, w)
 	}
 	b := c.sbLookup(base)
-	if b == nil || !b.noMem || !b.term {
-		t.Fatalf("block = %+v, want a noMem terminated block", b)
+	if b == nil || !b.noStore || b.nload != 0 || !b.term {
+		t.Fatalf("block = %+v, want a memory-free terminated block", b)
 	}
 	if want := uint64(isa.CycALU) + uint64(isa.CycTaken); b.cycTaken != want {
 		t.Fatalf("cycTaken = %d, want %d", b.cycTaken, want)

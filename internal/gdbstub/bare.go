@@ -134,7 +134,5 @@ func (t *BareTarget) Info() string {
 
 // BlockInfo renders the superblock tier's telemetry for `monitor blocks`.
 func (t *BareTarget) BlockInfo() string {
-	s := t.m.CPU.SBStats()
-	return fmt.Sprintf("superblocks: built=%d runs=%d chain_hits=%d chain_misses=%d severed=%d\n",
-		s.Built, s.Runs, s.ChainHits, s.ChainMisses, s.Severed)
+	return t.m.CPU.SBStats().String() + "\n"
 }

@@ -127,7 +127,5 @@ func (d *DebugTarget) Info() string {
 // BlockInfo renders the superblock tier's telemetry for `monitor blocks`:
 // how much of the deprivileged guest actually ran predecoded.
 func (d *DebugTarget) BlockInfo() string {
-	s := d.v.m.CPU.SBStats()
-	return fmt.Sprintf("superblocks: built=%d runs=%d chain_hits=%d chain_misses=%d severed=%d\n",
-		s.Built, s.Runs, s.ChainHits, s.ChainMisses, s.Severed)
+	return d.v.m.CPU.SBStats().String() + "\n"
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"lvmm/internal/cpu"
 	"lvmm/internal/debugger"
 	"lvmm/internal/guest"
 	"lvmm/internal/replay"
@@ -622,5 +623,43 @@ func TestTraceSerializationRoundTrip(t *testing.T) {
 	rt := replayTrace(t, buf.Bytes())
 	if _, err := rt.Run(); err != nil {
 		t.Fatalf("replay from the rewritten trace diverged: %v", err)
+	}
+}
+
+// TestBlockCountersDeterministic: the superblock tier's counters are
+// derived from the run alone — two identical recorded runs report the
+// same counters — and stay out of the trace: both recordings, and one
+// made on the forced-slow engine, where the tier never runs, are the same
+// bytes.
+func TestBlockCountersDeterministic(t *testing.T) {
+	record := func(slow bool) ([]byte, cpu.SBStats) {
+		w := WorkloadDefaults(300)
+		w.Seconds = 0.1
+		target, err := NewStreamingTarget(Lightweight, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer target.Release()
+		target.Machine().CPU.ForceSlowEngine(slow)
+		data, _ := recordRun(t, target, RecordOptions{SnapshotInterval: 40_000_000})
+		return data, target.Machine().CPU.SBStats()
+	}
+	a, sa := record(false)
+	b, sb := record(false)
+	if sa != sb {
+		t.Fatalf("identical runs, different counters:\n  %v\n  %v", sa, sb)
+	}
+	if sa.MemInline == 0 || sa.ChainHits == 0 {
+		t.Fatalf("the run never ran memory ops inline in chained blocks: %v", sa)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("identical runs recorded different trace bytes")
+	}
+	slow, ss := record(true)
+	if ss.Runs != 0 {
+		t.Fatalf("forced-slow run entered blocks: %v", ss)
+	}
+	if !bytes.Equal(a, slow) {
+		t.Fatal("the block tier changed the trace bytes")
 	}
 }
