@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"lvmm/internal/fault"
 	"lvmm/internal/machine"
 )
 
@@ -25,11 +26,10 @@ func firstDiff(a, b []byte) int {
 }
 
 // TestAsyncRecordDifferential is the async pipeline's correctness
-// anchor: recording the same deterministic run with one encoder worker
-// (GOMAXPROCS 1) and with three (GOMAXPROCS 4) must produce
-// byte-identical containers — not just equivalent ones — and both must
-// equal Trace.Write of the read-back trace, the sequential reference
-// writer. A streaming run recorded at default options (a frame-producing
+// anchor: recording the same deterministic run with one, two and four
+// encoder workers (GOMAXPROCS 1, 2 and 4) must produce byte-identical
+// containers — not just equivalent ones — and all must equal
+// Trace.Write of the read-back trace, the sequential reference writer. A streaming run recorded at default options (a frame-producing
 // guest, snapshots at the default cadence) must equal its Trace.Write
 // too. The recordings use DefaultEventBatch, the batch size Write splits
 // events at, so the batch boundaries match. Byte-identity is what makes
@@ -58,13 +58,15 @@ func TestAsyncRecordDifferential(t *testing.T) {
 	}
 
 	oneBytes, oneStats := record(1)
-	fourBytes, fourStats := record(4)
-	if at := firstDiff(oneBytes, fourBytes); at >= 0 {
-		t.Fatalf("1- and 3-encoder containers diverge at byte %d (sizes %d vs %d)",
-			at, len(oneBytes), len(fourBytes))
-	}
-	if oneStats != fourStats {
-		t.Fatalf("stats diverge:\nGOMAXPROCS 1: %+v\nGOMAXPROCS 4: %+v", oneStats, fourStats)
+	for _, procs := range []int{2, 4} {
+		data, stats := record(procs)
+		if at := firstDiff(oneBytes, data); at >= 0 {
+			t.Fatalf("GOMAXPROCS 1 and %d containers diverge at byte %d (sizes %d vs %d)",
+				procs, at, len(oneBytes), len(data))
+		}
+		if oneStats != stats {
+			t.Fatalf("stats diverge:\nGOMAXPROCS 1: %+v\nGOMAXPROCS %d: %+v", oneStats, procs, stats)
+		}
 	}
 	if oneStats.Deltas == 0 || oneStats.Keyframes < 2 {
 		t.Fatalf("workload too small to exercise the pipeline: %+v", oneStats)
@@ -101,6 +103,74 @@ func TestAsyncRecordDifferential(t *testing.T) {
 		if err := replayerFor(t, oneBytes, m2, v2, nil).RunToEnd(); err != nil {
 			t.Fatalf("replay (slow=%v) diverged: %v", slow, err)
 		}
+	}
+}
+
+// TestSegEncoderMatchesReference is the differential for the encoder
+// workers' kept gob state: every segment a segEncoder writes must equal
+// encodeSegment's bytes, the fresh-encoder reference. The sequence has
+// every payload type the pipeline encodes (meta with a fault plan, event
+// batches holding EvInput data, keyframes, deltas, the end seal): the
+// first segment of each type, repeats, and the whole sequence a second
+// time through the same state, as the next recording that takes it from
+// the pool does.
+func TestSegEncoderMatchesReference(t *testing.T) {
+	tr := readBack(t, recordStreamLW(t, []uint64{30_000_000, 60_000_000}))
+	plan := &fault.Plan{
+		Name:   "differential",
+		Seed:   7,
+		Frames: fault.FrameFaults{Drop: fault.Sched{Ordinals: []uint64{3, 9}}, Corrupt: fault.Sched{Every: 50}},
+		IRQ:    fault.IRQFaults{Spurious: []fault.SpuriousIRQ{{At: 1_000_000, Line: 3}}},
+	}
+	seq := []any{TraceMeta{Version: TraceVersion, Label: "differential", Fault: plan}}
+	var keyframes, deltas, inputs int
+	for i := range tr.Checkpoints {
+		cp := &tr.Checkpoints[i]
+		if cp.Delta {
+			deltas++
+		} else {
+			keyframes++
+		}
+		seq = append(seq, cp)
+		lo := cp.EventIndex
+		hi := len(tr.Events)
+		if i+1 < len(tr.Checkpoints) {
+			hi = tr.Checkpoints[i+1].EventIndex
+		}
+		for ; lo < hi; lo += 512 {
+			batch := tr.Events[lo:min(lo+512, hi)]
+			for _, ev := range batch {
+				if ev.Kind == EvInput {
+					inputs++
+				}
+			}
+			seq = append(seq, batch)
+		}
+	}
+	seq = append(seq, traceEnd{EndCycle: tr.EndCycle, EndInstr: tr.EndInstr, EndReason: tr.EndReason, EndDigest: tr.EndDigest})
+	if keyframes < 2 || deltas == 0 || inputs == 0 {
+		t.Fatalf("recording too small: %d keyframes, %d deltas, %d input events", keyframes, deltas, inputs)
+	}
+
+	e := segEncoderPool.New().(*segEncoder)
+	for pass := 1; pass <= 2; pass++ {
+		for i, p := range seq {
+			got, err := e.encode(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := encodeSegment(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if at := firstDiff(got, want); at >= 0 {
+				t.Fatalf("pass %d, segment %d (%T): kept gob state and encodeSegment diverge at byte %d (sizes %d vs %d)",
+					pass, i, p, at, len(got), len(want))
+			}
+		}
+	}
+	if len(e.gobs) != 4 {
+		t.Fatalf("encoder keeps %d gob streams, want one per payload type (4)", len(e.gobs))
 	}
 }
 

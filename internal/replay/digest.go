@@ -140,5 +140,8 @@ func Digest(m *machine.Machine, v *vmm.VMM) uint64 {
 }
 
 // FrameDigest hashes a transmitted frame for the EvFrame timeline:
-// FNV-64a, the value hash/fnv's New64a gives, which traces record.
+// FNV-64a, the value hash/fnv's New64a gives, which traces record. It
+// is one byte-serial chain; the recorder hashes frames four at a time
+// with fnvBytes4, which gives the same values, and the replayer checks
+// each frame with FrameDigest.
 func FrameDigest(frame []byte) uint64 { return fnvBytes(fnvOffset64, frame) }

@@ -1,8 +1,10 @@
 package replay
 
 import (
+	"bytes"
 	"hash/fnv"
 	"testing"
+	"time"
 
 	"lvmm/internal/machine"
 )
@@ -91,6 +93,81 @@ func TestFrameDigestMatchesStdlib(t *testing.T) {
 				t.Fatalf("%d-byte frame: FrameDigest %#x, hash/fnv %#x", n, got, want)
 			}
 		}
+	}
+}
+
+// TestFrameDigestGroups pins the recorder's grouped frame digests: the
+// frame tap holds up to three frame copies and hashes every fourth
+// frame's group in one pass, and flushEvents digests the frames still
+// held. Frames of every awkward length, a count that is not a multiple
+// of four, timer events shifting the groups, and a batch size (5) that
+// cuts through groups must all record FrameDigest of the frame as
+// transmitted, even though the tap's slice is overwritten after each
+// call. A broken stream drops held frames instead of keeping them.
+func TestFrameDigestGroups(t *testing.T) {
+	m, v := buildTrapDense(t, false)
+	rec := startMem(t, m, v, nil, Options{EventBatch: 5})
+	lens := []int{0, 1, 7, 8, 1066, 1514}
+	x := uint64(0x9E3779B97F4A7C15)
+	var want []uint64
+	for i := 0; i < 23; i++ {
+		frame := make([]byte, lens[i%len(lens)])
+		for j := range frame {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			frame[j] = byte(x)
+		}
+		want = append(want, FrameDigest(frame))
+		rec.frame(frame)
+		for j := range frame {
+			frame[j] = ^frame[j]
+		}
+		if rec.nheld > len(rec.held) || rec.nheld > rec.PendingEvents() {
+			t.Fatalf("frame %d: %d frame copies held, %d events pending", i, rec.nheld, rec.PendingEvents())
+		}
+		if i%5 == 2 {
+			rec.append(Event{Kind: EvTimer})
+		}
+	}
+	var got []uint64
+	for _, ev := range readBack(t, rec.finish(t)).Events {
+		if ev.Kind == EvFrame {
+			got = append(got, ev.Digest)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("recorded %d frame events, tapped %d frames", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("frame %d (%d bytes): recorded digest %#x, FrameDigest %#x",
+				i, lens[i%len(lens)], got[i], want[i])
+		}
+	}
+
+	// Over a sink that fails right after the header, frames held when
+	// the error latches are dropped with their events.
+	m2, v2 := buildTrapDense(t, false)
+	broken, err := NewStreamRecorder(&failWriter{limit: int64(headerLen)}, m2, v2, nil, TraceMeta{Custom: true}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken.Start()
+	for deadline := time.Now().Add(10 * time.Second); broken.Err() == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("sink never failed")
+		}
+	}
+	frame := bytes.Repeat([]byte{0xA5}, 64)
+	for i := 0; i < 3; i++ {
+		broken.frame(frame)
+	}
+	if broken.nheld != 0 || broken.PendingEvents() != 0 {
+		t.Fatalf("broken stream holds %d frames and %d events", broken.nheld, broken.PendingEvents())
+	}
+	if _, err := broken.FinishStream(); err == nil {
+		t.Fatal("FinishStream over a failing sink reported success")
 	}
 }
 

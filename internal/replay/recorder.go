@@ -93,6 +93,11 @@ type Recorder struct {
 	aw       *asyncSegWriter // the segment pipeline; latches the stream error
 	pend     []Event         // the current event batch
 	batchLen int
+	// held are copies of the frames whose EvFrame events in pend still
+	// lack their digest; the fourth frame hashes all four in one pass
+	// (see frame).
+	held  [3]heldFrame
+	nheld int
 
 	interval  uint64
 	maxSnaps  int
@@ -107,6 +112,13 @@ type Recorder struct {
 	stats StreamStats
 }
 
+// heldFrame is a copy of a transmitted frame waiting for its digest,
+// and the pend index of its EvFrame event.
+type heldFrame struct {
+	at   int
+	data []byte
+}
+
 // NewStreamRecorder prepares a recorder that writes the v3 segmented
 // container straight to w: the header and meta segment immediately,
 // event batches and snapshots as recording proceeds, and the end
@@ -115,7 +127,10 @@ type Recorder struct {
 // short writes surface there).
 //
 // Serialization (gob + gzip + framing) runs on the pipelined async
-// writer, so the simulation goroutine only pays for the state copies.
+// writer's encoders, which share the cores with the simulation. The
+// simulation goroutine pays for the snapshot copies, the event stamps
+// and the frame digests; a recording's FinishStream also waits for the
+// encoders to drain the queue and hashes the end state (Digest).
 func NewStreamRecorder(w io.Writer, m *machine.Machine, v *vmm.VMM, recv *netsim.Receiver, meta TraceMeta, opts Options) (*Recorder, error) {
 	if opts.SnapshotInterval == 0 {
 		opts.SnapshotInterval = DefaultSnapshotInterval
@@ -184,7 +199,7 @@ func (r *Recorder) Start() {
 	// Frames leaving the NIC.
 	r.m.NIC.SetFrameTap(func(frame []byte, cycle uint64) {
 		if r.active {
-			r.append(Event{Kind: EvFrame, Digest: FrameDigest(frame)})
+			r.frame(frame)
 		}
 	})
 
@@ -210,6 +225,29 @@ func (r *Recorder) input(ch uint8, data []byte) {
 	r.append(Event{Kind: EvInput, Chan: ch, Data: append([]byte(nil), data...)})
 }
 
+// frame records an EvFrame event whose digest waits until four frames
+// are in hand: the first three are copied (the tap's slice is only
+// valid during the call), and the fourth hashes all four in one
+// interleaved pass (fnvBytes4) and fills the three waiting digests in
+// pend. flushEvents digests any frames still held before the batch
+// leaves, so a batch boundary inside a group of four is exact.
+func (r *Recorder) frame(frame []byte) {
+	if r.nheld < len(r.held) {
+		h := &r.held[r.nheld]
+		h.at = len(r.pend)
+		h.data = append(h.data[:0], frame...)
+		r.nheld++
+		r.append(Event{Kind: EvFrame})
+		return
+	}
+	d0, d1, d2, d3 := fnvBytes4(r.held[0].data, r.held[1].data, r.held[2].data, frame)
+	r.pend[r.held[0].at].Digest = d0
+	r.pend[r.held[1].at].Digest = d1
+	r.pend[r.held[2].at].Digest = d2
+	r.nheld = 0
+	r.append(Event{Kind: EvFrame, Digest: d3})
+}
+
 // append stamps an event into the pending batch, which flushes as a
 // segment when full.
 func (r *Recorder) append(ev Event) {
@@ -221,7 +259,9 @@ func (r *Recorder) append(ev Event) {
 		// The stream is already broken (FinishStream will report it);
 		// accumulating the rest of the run's events would turn the
 		// bounded-memory recorder into an O(run) one exactly when the
-		// disk failed.
+		// disk failed. Frames held for a digest go too: their events
+		// are never written.
+		r.nheld = 0
 		return
 	}
 	r.pend = append(r.pend, ev)
@@ -237,16 +277,22 @@ func (r *Recorder) append(ev Event) {
 // broken stream the batch is dropped instead of retained — the sticky
 // error already condemns the trace, and memory must stay bounded.
 //
-// Ownership of the batch slice transfers to the pipeline (it is never
-// touched again here) and a fresh one starts.
+// Frames still held for a group of four are digested one by one
+// first. Ownership of the batch slice then transfers to the pipeline
+// (it is never touched again here) and a fresh one starts.
 func (r *Recorder) flushEvents() {
 	if len(r.pend) == 0 {
 		return
 	}
 	if r.aw.Err() != nil {
 		r.pend = r.pend[:0]
+		r.nheld = 0
 		return
 	}
+	for _, h := range r.held[:r.nheld] {
+		r.pend[h.at].Digest = FrameDigest(h.data)
+	}
+	r.nheld = 0
 	batch := r.pend
 	r.pend = make([]Event, 0, r.batchLen)
 	if err := r.aw.enqueue(segEvents, batch, decoEvents(batch)); err != nil {
