@@ -11,9 +11,11 @@
 //
 // Execution has two bit-identical engines: the per-instruction slow path
 // (Step, interpreting raw words) and a predecoded fast path (BurstRun)
-// backed by a physical-page-indexed decode cache and a superblock tier —
-// see decode.go for the design and its invalidation rules, and eval.go for
-// the fast path's single copy of the ALU and branch semantics. Debug
+// backed by a physical-page-indexed decode cache and a superblock tier,
+// whose hot blocks run as native code on amd64 — see decode.go for the
+// design and its invalidation rules, eval.go for the fast path's single
+// copy of the ALU and branch semantics, and native.go for the native
+// tier. Debug
 // observers (breakpoints, watchpoints, spy watches) are armed at page
 // granularity, so the fast path stays on unless execution actually touches
 // an armed page — see observers.go.
@@ -108,13 +110,12 @@ type CPU struct {
 
 	// Predecoded execution engine (see decode.go): lazily decoded
 	// physical-page-indexed instruction arrays, invalidated by writes and
-	// generation-flushed on TLB flushes, Reset, and Restore.
+	// by the restore walk's DropWord.
 	dcPages []*decPage
-	dcGen   uint32
-	// dcBulkGen is bumped whenever a bulk invalidation drops whole page
-	// objects from dcPages; BurstRun's register-cached fetch page checks
-	// it (with dcGen) instead of re-loading the dcPages slot every
-	// instruction. Derived, never serialized.
+	// dcBulkGen is bumped whenever whole page objects are dropped from
+	// dcPages; BurstRun's register-cached fetch page checks it instead of
+	// re-loading the dcPages slot every instruction. Derived, never
+	// serialized.
 	dcBulkGen uint32
 
 	// dirtyPages, when non-nil, accumulates one bit per physical page
@@ -147,6 +148,10 @@ type CPU struct {
 	sbLink   *sbEdge
 	sbLinkVA uint32
 	sbStat   SBStats
+
+	// Native block tier (see native.go): the compiled code's per-call
+	// inputs and its code memory. Derived, never serialized.
+	nat nativeState
 
 	// Hardware breakpoints (debug registers).
 	hwBreak    [4]uint32

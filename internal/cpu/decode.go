@@ -29,9 +29,11 @@ import "lvmm/internal/isa"
 //     image loads arrive via the bus write-notify hook installed at
 //     construction (bus.Write*/DMAWrite) or bus.NotifyWrite for in-place
 //     fills;
-//   - Reset and Restore (the cache starts cold after a snapshot restore,
-//     which is safe because decode state is invisible to the timeline: a
-//     cold cache re-decodes but charges identical cycles).
+//   - a snapshot restore that changes its bytes: the machine's restore
+//     walk compares each word it rewrites on a page with decoded state
+//     and drops (DropWord) only those that change, so the rest of the
+//     cache stays warm across a restore. Warm or cold is invisible to
+//     the timeline: decoding charges no cycles.
 //
 // Nothing in the cache affects architectural state or cycle accounting, so
 // slow-path and fast-path execution are bit-identical; the differential
@@ -105,10 +107,8 @@ type decoded struct {
 }
 
 // decPage holds the predecoded instructions of one physical page, decoded
-// lazily as they are first executed. A page is live only while its gen
-// matches the CPU's current decode generation.
+// lazily as they are first executed.
 type decPage struct {
-	gen uint32
 	ins [isa.PageSize / 4]decoded
 }
 
@@ -216,8 +216,8 @@ func (c *CPU) decodeLookup(pa uint32) *decoded {
 		return nil
 	}
 	pg := c.dcPages[pfn]
-	if pg == nil || pg.gen != c.dcGen {
-		pg = &decPage{gen: c.dcGen}
+	if pg == nil {
+		pg = &decPage{}
 		c.dcPages[pfn] = pg
 	}
 	d := &pg.ins[(pa&isa.PageMask)>>2]
@@ -269,7 +269,7 @@ func (c *CPU) dcInvalidate(addr, n uint32) {
 		if c.dcPages[p] != nil {
 			c.dcPages[p] = nil
 		}
-		if sp := c.sbPages[p]; sp != nil && sp.gen == c.dcGen {
+		if sp := c.sbPages[p]; sp != nil {
 			sbInvalidatePage(sp)
 		}
 	}
@@ -295,15 +295,10 @@ func (c *CPU) storeInvalidate(pa uint32) {
 	if pg := c.dcPages[pfn]; pg != nil {
 		pg.ins[i].fn = fnUnset
 	}
-	if sp := c.sbPages[pfn]; sp != nil && sp.gen == c.dcGen && sp.lo <= i && i <= sp.hi {
+	if sp := c.sbPages[pfn]; sp != nil && sp.lo <= i && i <= sp.hi {
 		sbInvalidatePage(sp)
 	}
 }
-
-// dcFlush discards the whole decode cache by advancing the generation.
-// Pages are re-decoded lazily on next execution; the allocations are
-// reclaimed as lookups replace stale pages.
-func (c *CPU) dcFlush() { c.dcGen++ }
 
 // BurstSafe reports whether the CPU may execute predecoded straight-line
 // bursts. Debug observers no longer disqualify bursts wholesale: hardware
@@ -403,17 +398,16 @@ func (c *CPU) BurstRun(clk *uint64, horizon, maxTicks uint64, resume BurstResume
 	// superblock chain follow; they commit with the next instruction.
 	var pend uint64
 	// Register-cached decode page: fetches within one physical page skip
-	// decodeLookup's dcPages load chain. The cache is sound while both
-	// generations hold — dcGen catches flushes (a diverter's Restore),
-	// dcBulkGen catches bulk invalidations that drop page objects (and so
-	// also every path that could replace a live page object, since
-	// replacement needs a nil or stale-gen slot). The in-place
-	// invalidations that remain (aligned stores and page-walk A/D updates)
-	// clear entries to fnUnset, which the re-decode below handles. cpg is
-	// non-nil whenever cpfn is a real page number.
+	// decodeLookup's dcPages load chain. The cache is sound while dcBulkGen
+	// holds: it catches every drop of a page object (bulk invalidations),
+	// and so also every path that could replace a live page object, since
+	// replacement needs a nil slot. The in-place invalidations that remain
+	// (aligned stores, page-walk A/D updates and the restore walk's
+	// DropWord) clear entries to fnUnset, which the re-decode below
+	// handles. cpg is non-nil whenever cpfn is a real page number.
 	cpfn := ^uint32(0)
 	var cpg *decPage
-	var cgen, cbgen uint32
+	var cbgen uint32
 	for {
 		if n >= maxTicks {
 			return n, BurstBudget
@@ -486,7 +480,7 @@ func (c *CPU) BurstRun(clk *uint64, horizon, maxTicks uint64, resume BurstResume
 			}
 		}
 		var d *decoded
-		if pfn := pa >> isa.PageShift; pfn == cpfn && c.dcGen == cgen && c.dcBulkGen == cbgen {
+		if pfn := pa >> isa.PageShift; pfn == cpfn && c.dcBulkGen == cbgen {
 			d = &cpg.ins[(pa&isa.PageMask)>>2]
 			if d.fn == fnUnset {
 				if w, ok := c.bus.Read32(pa); ok {
@@ -497,7 +491,7 @@ func (c *CPU) BurstRun(clk *uint64, horizon, maxTicks uint64, resume BurstResume
 			}
 		} else if d = c.decodeLookup(pa); d != nil {
 			cpfn, cpg = pfn, c.dcPages[pfn]
-			cgen, cbgen = c.dcGen, c.dcBulkGen
+			cbgen = c.dcBulkGen
 		}
 		if d == nil {
 			*clk += cyc + c.raise(isa.CauseBusError, instPC, instPC)

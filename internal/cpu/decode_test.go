@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -151,8 +152,11 @@ func TestStepFastMatchesStepDifferential(t *testing.T) {
 		}
 		slow, fast := twins()
 		lockstep(t, slow, fast, 400)
-		slow, fast = twins()
-		burstVsStep(t, slow, fast, 1<<62, 1<<62)
+		bothTiers(t, func() SBStats {
+			slow, fast := twins()
+			burstVsStep(t, slow, fast, 1<<62, 1<<62)
+			return fast.SBStats()
+		})
 	}
 }
 
@@ -285,43 +289,59 @@ func TestDecodeCacheDMAInvalidation(t *testing.T) {
 	}
 }
 
-// TestRestoreColdDecodeCache snapshots mid-loop, mutates the code, restores
-// the pre-mutation state, and checks execution decodes the restored bytes —
-// i.e. Restore leaves no stale decode state behind.
-func TestRestoreColdDecodeCache(t *testing.T) {
+// TestRestoreDropsRewrittenWords snapshots mid-loop, mutates the code,
+// restores the pre-mutation state the way the machine's restore walk does
+// (DropWord each word the rewrite changes), and checks execution decodes
+// the restored bytes — Restore keeps the caches warm, and the walk's drops
+// leave no stale decode, superblock or native code behind. Interpreted
+// and native blocks both, at a budget that lets blocks run.
+func TestRestoreDropsRewrittenWords(t *testing.T) {
 	const progBase = 0x1000
-	slow, fast := twinCPUs(1<<20, progBase)
-	loop := []uint32{
-		isa.EncodeI(isa.OpADDI, 1, 1, 1),
-		isa.EncodeI(isa.OpBEQ, 0, 0, -2),
-	}
-	loadBoth(slow, fast, progBase, loop)
-	lockstep(t, slow, fast, 10)
+	bothTiers(t, func() SBStats {
+		slow, fast := twinCPUs(1<<20, progBase)
+		loop := []uint32{
+			isa.EncodeI(isa.OpADDI, 1, 1, 1),
+			isa.EncodeI(isa.OpBEQ, 0, 0, -2),
+		}
+		loadBoth(slow, fast, progBase, loop)
+		burstVsStep(t, slow, fast, 1<<62, 10)
 
-	snapS, snapF := slow.Snapshot(), fast.Snapshot()
-	ramS := append([]byte(nil), slow.Bus().RAM()...)
-	ramF := append([]byte(nil), fast.Bus().RAM()...)
+		snapS, snapF := slow.Snapshot(), fast.Snapshot()
+		ramS := append([]byte(nil), slow.Bus().RAM()...)
+		ramF := append([]byte(nil), fast.Bus().RAM()...)
 
-	// Diverge: overwrite the loop with +50, run a bit (cache now holds the
-	// new word).
-	newBody := isa.EncodeI(isa.OpADDI, 1, 1, 50)
-	slow.Bus().Write32(progBase, newBody)
-	fast.Bus().Write32(progBase, newBody)
-	lockstep(t, slow, fast, 10)
+		// Diverge: overwrite the loop with +50, run a bit (the caches now
+		// hold the new word).
+		newBody := isa.EncodeI(isa.OpADDI, 1, 1, 50)
+		slow.Bus().Write32(progBase, newBody)
+		fast.Bus().Write32(progBase, newBody)
+		burstVsStep(t, slow, fast, 1<<62, 10)
 
-	// Rewind RAM and CPU to the snapshot; the decode cache must restart
-	// cold rather than serve the +50 word.
-	copy(slow.Bus().RAM(), ramS)
-	copy(fast.Bus().RAM(), ramF)
-	slow.Restore(snapS)
-	fast.Restore(snapF)
+		// Rewind RAM and CPU to the snapshot.
+		for _, c := range []*CPU{slow, fast} {
+			img := ramS
+			if c == fast {
+				img = ramF
+			}
+			ram := c.Bus().RAM()
+			for off := 0; off < len(ram); off += 4 {
+				if !bytes.Equal(ram[off:off+4], img[off:off+4]) {
+					c.DropWord(uint32(off))
+				}
+			}
+			copy(ram, img)
+		}
+		slow.Restore(snapS)
+		fast.Restore(snapF)
 
-	r1 := fast.Regs[1]
-	lockstep(t, slow, fast, 20)
-	if fast.Regs[1] != r1+10 {
-		t.Fatalf("after restore: r1 advanced by %d over 10 iterations, want 10 (stale decode survived Restore)",
-			fast.Regs[1]-r1)
-	}
+		r1 := fast.Regs[1]
+		burstVsStep(t, slow, fast, 1<<62, 20)
+		if fast.Regs[1] != r1+10 {
+			t.Fatalf("after restore: r1 advanced by %d over 10 iterations, want 10 (stale decode survived the restore)",
+				fast.Regs[1]-r1)
+		}
+		return fast.SBStats()
+	})
 }
 
 // TestBurstRunTickAccounting checks BurstRun's contract directly: tick

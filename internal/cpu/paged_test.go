@@ -50,6 +50,8 @@ var pagedPages = []struct{ va, pa, flags uint32 }{
 	// VPNs sharing the TLB slots of code pages 1 and 2.
 	{(pagedProg>>isa.PageShift + tlbEntries) << isa.PageShift, 0x17000, isa.PTEPresent | isa.PTEWritable | isa.PTEUser},
 	{(pagedProg>>isa.PageShift + 1 + tlbEntries) << isa.PageShift, 0x18000, isa.PTEPresent | isa.PTEWritable | isa.PTEUser},
+	// W=0 with D=1: a hit for a store must test W, not just D.
+	{0x19000, 0x19000, isa.PTEPresent | isa.PTEUser | isa.PTEAccessed | isa.PTEDirty},
 }
 
 var (
@@ -160,7 +162,7 @@ func pagedTwins(cfg byte, words []uint32) (slow, fast *CPU, spies *[2]int) {
 			c.Bus().Write32(pagedProg+uint32(j)*4, w)
 		}
 		// Recognizable data: every data frame holds its own addresses.
-		for pa := uint32(0x10000); pa < 0x19000; pa += 4 {
+		for pa := uint32(0x10000); pa < 0x1A000; pa += 4 {
 			c.Bus().Write32(pa, pa*0x9E3779B1)
 		}
 		c.CR[isa.CRPtbr] = pagedPD | 1
@@ -197,14 +199,19 @@ func pagedDiff(t *testing.T, cfg byte, words []uint32) {
 	}
 	slow, fast, _ := pagedTwins(cfg, words)
 	lockstep(t, slow, fast, 400)
-	slow, fast, spies := pagedTwins(cfg, words)
-	burstVsStep(t, slow, fast, 1<<62, 4000)
-	if spies[0] != spies[1] {
-		t.Fatalf("spy hits: slow %d, fast %d", spies[0], spies[1])
-	}
-	if !bytes.Equal(slow.Bus().RAM(), fast.Bus().RAM()) {
-		t.Fatal("RAM diverged")
-	}
+	// Open-budget bursts with blocks interpreted, then with every block
+	// compiled to native code on its first run.
+	bothTiers(t, func() SBStats {
+		slow, fast, spies := pagedTwins(cfg, words)
+		burstVsStep(t, slow, fast, 1<<62, 4000)
+		if spies[0] != spies[1] {
+			t.Fatalf("spy hits: slow %d, fast %d", spies[0], spies[1])
+		}
+		if !bytes.Equal(slow.Bus().RAM(), fast.Bus().RAM()) {
+			t.Fatal("RAM diverged")
+		}
+		return fast.SBStats()
+	})
 }
 
 func pagedDiffBody(t *testing.T, data []byte) {
@@ -280,6 +287,11 @@ func TestPagedDiffScenarios(t *testing.T) {
 		{"evict-code-slot", 0x03 | 7<<2, loop(isa.EncodeI(isa.OpLW, 1, 12, 0), isa.EncodeI(isa.OpSW, 1, 12, 4), isa.EncodeI(isa.OpADDI, 2, 2, 1))},
 		// Stores into the running block's own page.
 		{"smc", 0x03, loop(isa.EncodeI(isa.OpSW, 0, 14, 0x40), isa.EncodeI(isa.OpADDI, 2, 2, 1))},
+		// Read-only but dirty: the store must fault on W alone.
+		{"read-only-dirty", 0x03 | 9<<2, loop(isa.EncodeI(isa.OpLW, 1, 12, 0), isa.EncodeI(isa.OpADDI, 2, 2, 1), isa.EncodeI(isa.OpSW, 1, 12, 4))},
+		// A TLB flush between turns: the entries the block hit are stale
+		// (old generation, same VPN), so its next load must walk.
+		{"flushed-entry", 0x00, loop(isa.EncodeI(isa.OpLW, 1, 12, 0), isa.EncodeI(isa.OpADDI, 2, 2, 1), isa.EncodeR(isa.OpTLBINV, 0, 0, 0))},
 		// A loads-only loop whose pointer walks from a user page into the
 		// read-only, kernel and absent pages.
 		{"loads-only-cross-page", 0x03, append(pagedLUI(15, 0x10000, 0xF80),

@@ -1,6 +1,10 @@
 package cpu
 
-import "fmt"
+import (
+	"fmt"
+
+	"lvmm/internal/isa"
+)
 
 // State is the complete serializable processor state for record/replay
 // snapshots. It includes the TLB (its fill state changes TLB-miss cycle
@@ -68,10 +72,46 @@ func (c *CPU) Restore(s State) {
 	// envelope) from the restored slots; spy slots are wiring and persist.
 	c.recalcObservers()
 	c.Stat = s.Stat
-	// The decode cache is not state: restoring rewrites RAM underneath it,
-	// so it restarts cold. Cold vs warm is timeline-invisible — decode
-	// charges no cycles — which is what keeps snapshots replay-safe.
-	c.dcFlush()
+	// The decode cache, superblocks and native code are not state, and
+	// stay warm: the machine's restore walk drops what was derived from
+	// each word whose bytes it changes (DropWord), and every other word
+	// still decodes to what its bytes say. Warm vs cold is
+	// timeline-invisible — decoding and compiling charge no cycles — which
+	// is what keeps snapshots replay-safe. The invalidation pressure each
+	// page has built up starts over, as it did when a restore flushed the
+	// cache.
+	for _, sp := range c.sbPages {
+		if sp != nil {
+			sp.bumps = 0
+		}
+	}
+}
+
+// PageDerived reports whether the predecoded tiers hold anything derived
+// from physical page pfn — decoded instructions or superblocks — that
+// DropWord could discard. A restore walk compares only such pages with
+// their image; every other page it rewrites blind.
+func (c *CPU) PageDerived(pfn uint32) bool {
+	return pfn < uint32(len(c.dcPages)) && (c.dcPages[pfn] != nil || c.sbPages[pfn] != nil)
+}
+
+// DropWord discards what the predecoded tiers derived from the aligned
+// word at physical address pa, which must lie in RAM, after its bytes
+// were rewritten outside the write path (a snapshot restore): its decode
+// slot, and the superblocks (with their native code) of its page when the
+// word lies in their extent — what a store there would drop. It marks
+// nothing dirty and counts no invalidation pressure: a restore is not a
+// sign of mixed code and data.
+func (c *CPU) DropWord(pa uint32) {
+	pfn := pa >> isa.PageShift
+	i := (pa & isa.PageMask) >> 2
+	if pg := c.dcPages[pfn]; pg != nil {
+		pg.ins[i].fn = fnUnset
+	}
+	if sp := c.sbPages[pfn]; sp != nil && sp.lo <= i && i <= sp.hi {
+		sp.epoch++
+		sp.lo, sp.hi = ^uint32(0), 0
+	}
 }
 
 // Spy watchpoints observe stores into a range without raising a trap or

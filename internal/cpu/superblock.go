@@ -52,10 +52,11 @@ import (
 //     per-entry invalidation cannot reach them; instead each sbPage
 //     carries an epoch, bumped by the invalidation paths (storeInvalidate,
 //     dcInvalidate) whenever a write lands in the page's built-block
-//     extent ([lo,hi] word indexes, reset on bump). A block is valid only
-//     while its gen matches dcGen (Restore flushes) and its epoch matches
-//     its page's. Mid-block, the epoch is re-checked after every store and
-//     every memory op that ran through executeFast — the only in-block
+//     extent ([lo,hi] word indexes, reset on bump), and by the restore
+//     walk's DropWord when it rewrites a word there. A block is valid
+//     only while its epoch matches its page's. Mid-block, the epoch is
+//     re-checked after every store and every memory op that ran through
+//     executeFast — the only in-block
 //     writers are the block's own stores and page-walk A/D updates, both
 //     of which funnel through storeInvalidate — so self-modifying code
 //     aborts to the dispatcher after the store commits, exactly where the
@@ -115,7 +116,6 @@ const (
 // negative (the words at base do not form a usable block).
 type superblock struct {
 	page  *sbPage
-	gen   uint32 // dcGen at build; stale when != CPU.dcGen
 	epoch uint32 // page epoch at build; stale when != page.epoch
 	base  uint32 // physical address of ops[0]
 	n     uint32 // len(ops); 0 = negative entry
@@ -139,6 +139,16 @@ type superblock struct {
 	cycTaken uint64
 	ops      []decoded
 
+	// Native code (native.go): the block and self-loop entry points (0 =
+	// none), the arena generation they belong to, the runs counted toward
+	// nativeMin while the block has none, and the prefix tables sbRun
+	// commits a native exit from.
+	nat, natLoop uintptr
+	natGen       uint32
+	runs         uint32
+	natCyc       []uint64
+	natMem       []uint32
+
 	// Chain edges for the terminator's taken exit and for every other
 	// exit (fallthrough, untaken branch, page edge).
 	taken, fall sbEdge
@@ -157,9 +167,8 @@ type sbEdge struct {
 // The object is allocated once per page and never replaced, so chain edges
 // from other pages can validate against its epoch forever.
 type sbPage struct {
-	gen    uint32 // dcGen at last (re)initialization
 	epoch  uint32 // bumped by every invalidation hitting the extent
-	bumps  uint32 // invalidation pressure since last generation reset
+	bumps  uint32 // invalidation pressure since the last restore
 	lo, hi uint32 // word-index extent examined by built blocks; lo>hi = none
 	blocks [isa.PageSize / 4]*superblock
 }
@@ -199,6 +208,18 @@ type SBStats struct {
 	ExitTrap      uint64 // a memory op or a chain-follow fetch trapped
 	ExitAbandon   uint64 // a write hit the running block's page, or a walk moved the code page's TLB entry
 	ExitLoadBail  uint64 // a batched loads-only self-loop reached a load that would not hit
+
+	// Native tier (native.go). NativeBlocks counts blocks compiled and
+	// NativeBytes the code emitted for them; NativeRuns counts block runs
+	// (and self-loop iterations) that entered native code. The exits count
+	// native runs handed back to sbRun before their end, by reason.
+	NativeBlocks       uint64
+	NativeBytes        uint64
+	NativeRuns         uint64
+	NativeExitTLB      uint64 // a memory op missed the TLB, lacked U or W, or stored to a clean page
+	NativeExitEnvelope uint64 // a store could land in an armed watch or spy page
+	NativeExitSMC      uint64 // a store would land in a built block's extent
+	NativeExitRange    uint64 // a memory op was misaligned or outside RAM
 }
 
 // SBStats returns the superblock telemetry counters.
@@ -217,10 +238,14 @@ func (s SBStats) String() string {
 	}
 	return fmt.Sprintf("superblocks: built=%d runs=%d chain_hits=%d chain_misses=%d severed=%d "+
 		"mem_inline=%d mem_fallback=%d mem_per_run=%.2f "+
-		"exit_chain_miss=%d exit_cap=%d exit_trap=%d exit_abandon=%d exit_load_bail=%d",
+		"exit_chain_miss=%d exit_cap=%d exit_trap=%d exit_abandon=%d exit_load_bail=%d "+
+		"native_blocks=%d native_bytes=%d native_runs=%d "+
+		"native_exit_tlb=%d native_exit_envelope=%d native_exit_smc=%d native_exit_range=%d",
 		s.Built, s.Runs, s.ChainHits, s.ChainMisses, s.Severed,
 		s.MemInline, s.MemFallback, memPerRun,
-		s.ExitChainMiss, s.ExitCap, s.ExitTrap, s.ExitAbandon, s.ExitLoadBail)
+		s.ExitChainMiss, s.ExitCap, s.ExitTrap, s.ExitAbandon, s.ExitLoadBail,
+		s.NativeBlocks, s.NativeBytes, s.NativeRuns,
+		s.NativeExitTLB, s.NativeExitEnvelope, s.NativeExitSMC, s.NativeExitRange)
 }
 
 // sbExit tells BurstRun's dispatcher how a block run ended.
@@ -281,17 +306,11 @@ func (c *CPU) sbLookup(pa uint32) *superblock {
 	}
 	sp := c.sbPages[pfn]
 	if sp == nil {
-		sp = &sbPage{gen: c.dcGen, lo: ^uint32(0)}
+		sp = &sbPage{lo: ^uint32(0)}
 		c.sbPages[pfn] = sp
-	} else if sp.gen != c.dcGen {
-		// Generation flush (Restore): every block is stale; reset the
-		// extent and the pressure counter for the new generation.
-		sp.gen = c.dcGen
-		sp.bumps = 0
-		sp.lo, sp.hi = ^uint32(0), 0
 	}
 	idx := (pa & isa.PageMask) >> 2
-	if b := sp.blocks[idx]; b != nil && b.gen == c.dcGen && b.epoch == sp.epoch {
+	if b := sp.blocks[idx]; b != nil && b.epoch == sp.epoch {
 		if b.n == 0 {
 			return nil
 		}
@@ -310,8 +329,8 @@ func (c *CPU) sbLookup(pa uint32) *superblock {
 func (c *CPU) sbBuild(sp *sbPage, pa, idx uint32) *superblock {
 	pfn := pa >> isa.PageShift
 	pg := c.dcPages[pfn]
-	if pg == nil || pg.gen != c.dcGen {
-		pg = &decPage{gen: c.dcGen}
+	if pg == nil {
+		pg = &decPage{}
 		c.dcPages[pfn] = pg
 	}
 	var ops []decoded
@@ -343,7 +362,7 @@ func (c *CPU) sbBuild(sp *sbPage, pa, idx uint32) *superblock {
 			break
 		}
 	}
-	b := &superblock{page: sp, gen: c.dcGen, epoch: sp.epoch, base: pa}
+	b := &superblock{page: sp, epoch: sp.epoch, base: pa}
 	if len(ops) >= sbMinLen {
 		b.n = uint32(len(ops))
 		b.cycMax = cycMax
@@ -409,12 +428,14 @@ func sbInvalidatePage(sp *sbPage) {
 // evaluator's TLB-hit check and load/store arms when they hit the TLB (or
 // paging is off), are aligned, lie in RAM and, for a store, fall outside
 // the armed write envelope: their cycles stay batched like an ALU op's.
-// Any other memory op commits the batch and runs through executeFast. PC
-// is dead inside a block: nothing observes it until a trap (executeFast
-// gets its epc explicitly and diverters never read PC — the only monitor
-// path that does, installGuestPTBR, is reached through a slow op, which
-// blocks exclude) or the block's end, where the terminator arm (or the
-// straight-line epilogue) materializes it.
+// Any other memory op commits the batch and runs through executeFast. A
+// block with native code (native.go) runs it first and resumes this loop
+// at the op the code handed back, if any. PC is dead inside a block:
+// nothing observes it until a trap (executeFast gets its epc explicitly
+// and diverters never read PC — the only monitor path that does,
+// installGuestPTBR, is reached through a slow op, which blocks exclude)
+// or the block's end, where the terminator arm (or the straight-line
+// epilogue) materializes it.
 //
 // Returns the new tick count, the (possibly refreshed, if a trap fused)
 // horizon, the exit disposition, and pending fetch cycles for the
@@ -424,6 +445,7 @@ func sbInvalidatePage(sp *sbPage) {
 func (c *CPU) sbRun(b *superblock, clk *uint64, cyc uint64, va uint32, n0, horizon, maxTicks uint64, resume BurstResume, pagingOff bool) (uint64, uint64, sbExit, uint64) {
 	n := n0
 	user := !pagingOff && c.CPL() == isa.CPLUser
+	c.nat.user, c.nat.paging = user, !pagingOff
 	// Self-loop edge validated by the general follow path below; see the
 	// fast path at the exit edge.
 	selfOK := false
@@ -449,7 +471,31 @@ newBlock:
 			c.sbStat.Runs++
 			acc := cyc   // uncommitted cycles (entry fetch + completed inline ops)
 			var k uint64 // uncommitted op count
-			for i := uint32(0); i < body; i++ {
+			i0 := uint32(0)
+			if c.natLive(b) {
+				// Native code runs the ops it can finish and hands the rest
+				// back at op x, exactly where this loop would be after
+				// running ops 0..x-1 inline.
+				c.nat.va = va
+				x, _ := nativeCall(b.nat, c)
+				c.sbStat.NativeRuns++
+				if i0 = x & 0xFFFF; i0 >= nops {
+					acc += b.natCyc[i0]
+					c.sbStat.MemInline += uint64(b.natMem[i0])
+					k = uint64(nops)
+					va += nops << 2
+					if !term {
+						c.PC = va
+					}
+					goto done // the terminator set PC
+				}
+				c.natCount(x)
+				acc += b.natCyc[i0]
+				c.sbStat.MemInline += uint64(b.natMem[i0])
+				k = uint64(i0)
+				va += i0 << 2
+			}
+			for i := i0; i < body; i++ {
 				d := &ops[i]
 				if d.fn < fnLW {
 					// ALU op: cannot trap, cannot observe PC.
@@ -592,6 +638,7 @@ newBlock:
 				// the fallthrough PC the per-op engine would have left behind.
 				c.PC = va
 			}
+		done:
 			*clk += acc
 			c.Stat.Instructions += k
 			n += k
@@ -652,6 +699,26 @@ newBlock:
 					}
 					it := uint64(0)
 					taken := true
+					if c.natLive(b) && b.natLoop != 0 {
+						// The native self-loop, in slices short enough that the
+						// goroutine reaches a preemption point every ~100 µs.
+						c.nat.va = selfTva
+						for {
+							c.nat.loopCap = min(m-it, natLoopSlice)
+							x, got := nativeCall(b.natLoop, c)
+							it += got
+							if x&0xFFFF < body {
+								c.natCount(x)
+								c.sbStat.NativeRuns += it + 1
+								return n + c.sbLoadBail(b, clk, it, x&0xFFFF, selfTva), horizon, sbNext, 0
+							}
+							if taken = x == body+1; !taken || it == m {
+								break
+							}
+						}
+						c.sbStat.NativeRuns += it
+						goto loopDone
+					}
 					for {
 						for i := uint32(0); i < body; i++ {
 							// Cycle charges are pre-summed in cycTaken.
@@ -695,6 +762,7 @@ newBlock:
 							break
 						}
 					}
+				loopDone:
 					c.Stat.Instructions += it * uint64(nops)
 					n += it * uint64(nops)
 					c.sbStat.Runs += it
@@ -717,7 +785,7 @@ newBlock:
 				}
 			}
 			t := e.to
-			if t == nil || e.va != tva || t.gen != c.dcGen || t.epoch != t.page.epoch || t.n == 0 {
+			if t == nil || e.va != tva || t.epoch != t.page.epoch || t.n == 0 {
 				if t != nil {
 					e.to = nil
 					c.sbStat.Severed++

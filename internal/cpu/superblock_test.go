@@ -345,7 +345,7 @@ func TestSuperblockBumpsDamping(t *testing.T) {
 		c.Bus().Write32(base+uint32(i)*4, w)
 	}
 	// Build/invalidate cycles: after sbMaxBumps invalidations the page
-	// refuses further builds until the next generation reset.
+	// refuses further builds until the next restore.
 	for i := 0; i < sbMaxBumps; i++ {
 		if c.sbLookup(base) == nil {
 			t.Fatalf("build %d refused before the damping threshold", i)
@@ -355,10 +355,10 @@ func TestSuperblockBumpsDamping(t *testing.T) {
 	if c.sbLookup(base) != nil {
 		t.Fatal("page still builds blocks past sbMaxBumps invalidations")
 	}
-	// A generation flush (Restore path) resets the pressure counter.
-	c.dcFlush()
+	// A restore resets the pressure counter.
+	c.Restore(c.Snapshot())
 	if c.sbLookup(base) == nil {
-		t.Fatal("generation reset did not clear the damping counter")
+		t.Fatal("a restore did not clear the damping counter")
 	}
 }
 
@@ -458,9 +458,9 @@ func genChainInstr(sel, a, b byte) uint32 {
 // raw bytes, run it through BurstRun (superblocks, chains, batched
 // self-loops) and plain Step in lockstep, and require bit-identical state
 // and cycle charges at every burst boundary.
-func superblockDiffBody(t *testing.T, data []byte) {
+func superblockDiffBody(t *testing.T, data []byte) SBStats {
 	if len(data) < 3 {
-		return
+		return SBStats{}
 	}
 	const progBase, scratch, handler = 0x1000, 0x8000, 0x3000
 	slow, fast := twinCPUs(1<<20, progBase)
@@ -485,6 +485,13 @@ func superblockDiffBody(t *testing.T, data []byte) {
 	slow.Regs[15], fast.Regs[15] = scratch, scratch
 
 	burstVsStep(t, slow, fast, 1<<62, 3000)
+	return fast.SBStats()
+}
+
+// superblockDiffBoth runs the differential with blocks interpreted, then
+// with every block compiled to native code on its first run.
+func superblockDiffBoth(t *testing.T, data []byte) {
+	bothTiers(t, func() SBStats { return superblockDiffBody(t, data) })
 }
 
 func FuzzSuperblockDiff(f *testing.F) {
@@ -498,7 +505,7 @@ func FuzzSuperblockDiff(f *testing.F) {
 		rng.Read(seed)
 		f.Add(seed)
 	}
-	f.Fuzz(superblockDiffBody)
+	f.Fuzz(superblockDiffBoth)
 }
 
 // TestSuperblockDiffSeeds pins the fuzzer's deterministic seed corpus as
@@ -509,6 +516,6 @@ func TestSuperblockDiffSeeds(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		data := make([]byte, 9+rng.Intn(90))
 		rng.Read(data)
-		superblockDiffBody(t, data)
+		superblockDiffBoth(t, data)
 	}
 }

@@ -202,7 +202,7 @@ func New(cfg Config) *Machine {
 }
 
 // Release returns the machine's physical memory to the process-wide RAM
-// pool so the next New skips allocating (and the allocator skips
+// pool, and unmaps the CPU's native code memory, so the next New skips allocating (and the allocator skips
 // clearing) tens of megabytes. Only the blocks the CPU's write-coverage
 // map marks as touched are re-zeroed — everything else is still zero by
 // the coverage invariant — so releasing costs O(working set), not
@@ -215,6 +215,7 @@ func New(cfg Config) *Machine {
 // engines all go through the bus, so machines driven normally — built,
 // booted, run — are safe to release.
 func (m *Machine) Release() {
+	m.CPU.ReleaseNative()
 	ram := m.Bus.RAM()
 	clearCovered(ram, m.CPU.WriteCoverage(), 0, len(ram))
 	bus.ReclaimRAM(ram)

@@ -2,7 +2,12 @@ package machine
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
+
+	"lvmm/internal/asm"
+	"lvmm/internal/cpu"
+	"lvmm/internal/isa"
 )
 
 // fullClearRestore is the reference restore of a chain given oldest
@@ -167,4 +172,99 @@ func firstDiff(a, b []byte) int {
 		}
 	}
 	return -1
+}
+
+// TestWarmRestoreMatchesCold: a restore keeps the CPU's decoded
+// instructions, superblocks and native code, dropping only the pages the
+// walk rewrites. A machine restored after running past the snapshot —
+// its caches hot, native blocks compiled, and the hot loop's first word
+// patched and executed since — must then run exactly like a fresh machine
+// restored to the same snapshot and like Step (the forced-slow engine),
+// slice by slice, with every superblock compiled to native code.
+func TestWarmRestoreMatchesCold(t *testing.T) {
+	defer cpu.SetNativeThreshold(cpu.SetNativeThreshold(1))
+	const slice = 300_000
+	boot := func() (*Machine, *asm.Image) {
+		m := New(Config{RAMBytes: 1 << 20, ResetPC: 0x1000})
+		return m, loadKernel(t, m, computeKernel)
+	}
+	warm, img := boot()
+	if reason := warm.Run(3 * slice); reason != StopLimit {
+		t.Fatalf("run to the snapshot: %v", reason)
+	}
+	snap := warm.Snapshot()
+	// Patch the loop (addi r4, r4, 1 → +2) and run it hot.
+	if !warm.Bus.Write32(img.Symbols["work"], isa.EncodeI(isa.OpADDI, 4, 4, 2)) {
+		t.Fatal("patch outside RAM")
+	}
+	warm.Run(warm.Clock() + 3*slice)
+	if sb := warm.CPU.SBStats(); runtime.GOARCH == "amd64" && sb.NativeRuns == 0 {
+		t.Fatalf("the warm machine never ran native blocks: %v", sb)
+	}
+	warm.Restore(snap)
+
+	cold, _ := boot()
+	cold.Restore(snap)
+	slow, _ := boot()
+	slow.Restore(snap)
+	forceSlowPath(t, slow)
+	for i := 0; ; i++ {
+		until := snap.Clock + uint64(i+1)*slice
+		rw, rc, rs := warm.Run(until), cold.Run(until), slow.Run(until)
+		compareMachines(t, warm, slow)
+		compareMachines(t, cold, slow)
+		if t.Failed() {
+			t.Fatalf("slice %d diverged", i)
+		}
+		if rw != rs || rc != rs {
+			t.Fatalf("slice %d: stop reasons warm %v, cold %v, slow %v", i, rw, rc, rs)
+		}
+		if rs == StopGuestDone {
+			break
+		}
+	}
+	if warm.GuestCounters[0] == 0 {
+		t.Fatal("the loop retired no iterations")
+	}
+}
+
+// TestRestoreFinishDropsZeroedPages: a page that is zero in a snapshot
+// but held code when the restore began is zeroed by RestoreFinish, which
+// must drop what the CPU derived from that code. The restored guest
+// jumps there and must meet the zero word (an undefined opcode, whose
+// trap handler halts), not the code it ran before the restore.
+func TestRestoreFinishDropsZeroedPages(t *testing.T) {
+	defer cpu.SetNativeThreshold(cpu.SetNativeThreshold(1))
+	const page, handler = 0x20000, 0x3000 // page's 64 KB chunk is empty in the snapshot
+	boot := func() *Machine {
+		m := New(Config{RAMBytes: 1 << 20, ResetPC: 0x1000})
+		for v := uint32(0); v < isa.NumVectors; v++ {
+			m.Bus.Write32(v*4, handler)
+		}
+		m.Bus.Write32(handler, isa.EncodeR(isa.OpHLT, 0, 0, 0))
+		m.Bus.Write32(0x1000, isa.EncodeJ(isa.OpJAL, 0, (page-0x1004)/4))
+		return m
+	}
+	warm := boot()
+	snap := warm.Snapshot()
+	for i, w := range []uint32{
+		isa.EncodeI(isa.OpADDI, 4, 4, 7),
+		isa.EncodeI(isa.OpADDI, 5, 5, 1),
+		isa.EncodeR(isa.OpHLT, 0, 0, 0),
+	} {
+		warm.Bus.Write32(page+uint32(i)*4, w)
+	}
+	warm.Run(100_000)
+	if warm.CPU.Regs[4] != 7 {
+		t.Fatalf("the code at %#x did not run: r4 = %d", page, warm.CPU.Regs[4])
+	}
+	warm.Restore(snap)
+	cold := boot()
+	cold.Restore(snap)
+	warm.Run(100_000)
+	cold.Run(100_000)
+	compareMachines(t, warm, cold)
+	if warm.CPU.Regs[4] != 0 || warm.CPU.Stat.Traps == 0 {
+		t.Fatalf("after the restore the zeroed page ran stale code: r4 = %d, traps %d", warm.CPU.Regs[4], warm.CPU.Stat.Traps)
+	}
 }

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/bits"
 	"slices"
@@ -238,8 +239,12 @@ func (m *Machine) RestoreStart(dirty []uint64) *RestoreSet {
 	return set
 }
 
-// RestorePages copies each page of s's RAM chunks that is still in the
-// set and takes it out, and reports whether any page is left. Chunks
+// RestorePages gives each page of s's RAM chunks that is still in the
+// set its content in s and takes it out, and reports whether any page is
+// left. On a page the CPU has decoded instructions or superblocks of,
+// each word the copy changes first has what the CPU derived from it
+// dropped (cpu.DropWord) — as a store there would — so the CPU's caches
+// stay warm across the restore wherever the bytes stay the same. Chunks
 // hold whole pages inside RAM (keyframes capture 64 KB chunks, deltas
 // page runs, and the trace reader refuses any other); only a chunk
 // ending at the end of RAM may end in part of a page. The coverage map
@@ -257,7 +262,11 @@ func (m *Machine) RestorePages(s *Snapshot, set *RestoreSet) bool {
 			}
 			set.pages[p>>6] &^= 1 << (p & 63)
 			set.left--
-			copy(ram[off:], ch.Data[i:min(i+isa.PageSize, len(ch.Data))])
+			img := ch.Data[i:min(i+isa.PageSize, len(ch.Data))]
+			if m.CPU.PageDerived(uint32(p)) {
+				m.dropChanged(uint32(off), img)
+			}
+			copy(ram[off:], img)
 			cov |= 1 << min(off>>cpu.CovShift, 63)
 		}
 	}
@@ -266,13 +275,31 @@ func (m *Machine) RestorePages(s *Snapshot, set *RestoreSet) bool {
 	return set.left > 0
 }
 
+// zeroPage is the image RestoreFinish gives a page no member held.
+var zeroPage [isa.PageSize]byte
+
+// dropChanged has the CPU drop what it derived from each word of the RAM
+// at pa that img, about to overwrite it, changes (cpu.DropWord).
+func (m *Machine) dropChanged(pa uint32, img []byte) {
+	cur := m.Bus.RAM()[pa:]
+	if bytes.Equal(cur[:len(img)], img) {
+		return
+	}
+	for w := 0; w < len(img); w += 4 {
+		if !bytes.Equal(cur[w:min(w+4, len(img))], img[w:min(w+4, len(img))]) {
+			m.CPU.DropWord(pa + uint32(w))
+		}
+	}
+}
+
 // RestoreFinish ends the walk to s. The pages still in the set were held
 // by no member, so they are zero in s's image: they are cleared where
 // the coverage map from before the walk marks their 1 MB block as
-// possibly written, and are zero already everywhere else. Then the map
-// is set to the walk's and the complete non-RAM state is restored. As
-// with Release, a direct write to RAM that bypassed the bus would escape
-// the map and survive the restore.
+// possibly written (dropping what the CPU derived from each nonzero word
+// of such a page, as RestorePages does), and are zero already everywhere
+// else. Then the map is set to the walk's and the complete non-RAM state
+// is restored. As with Release, a direct write to RAM that bypassed the
+// bus would escape the map and survive the restore.
 func (m *Machine) RestoreFinish(s *Snapshot, set *RestoreSet) {
 	ram := m.Bus.RAM()
 	for i, w := range set.pages {
@@ -281,8 +308,13 @@ func (m *Machine) RestoreFinish(s *Snapshot, set *RestoreSet) {
 			continue
 		}
 		for ; w != 0; w &= w - 1 {
-			lo := (i<<6 + bits.TrailingZeros64(w)) << isa.PageShift
-			clear(ram[lo:min(lo+isa.PageSize, len(ram))])
+			p := i<<6 + bits.TrailingZeros64(w)
+			lo := p << isa.PageShift
+			pg := ram[lo:min(lo+isa.PageSize, len(ram))]
+			if m.CPU.PageDerived(uint32(p)) {
+				m.dropChanged(uint32(lo), zeroPage[:len(pg)])
+			}
+			clear(pg)
 		}
 	}
 	m.CPU.SetWriteCoverage(set.newCov)
@@ -290,9 +322,9 @@ func (m *Machine) RestoreFinish(s *Snapshot, set *RestoreSet) {
 }
 
 // restoreState rewinds everything except physical memory contents:
-// scalar state, CPU (whose Restore also flushes the decode cache, since
-// RAM was rewritten underneath it), and devices, which re-arm their
-// pending events at the snapshot's absolute cycles.
+// scalar state, CPU (whose derived caches stay warm: the walk dropped
+// what it derived from the words it changed), and devices, which re-arm
+// their pending events at the snapshot's absolute cycles.
 func (m *Machine) restoreState(s *Snapshot) {
 	m.clock = s.Clock
 	m.idle = s.Idle

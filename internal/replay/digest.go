@@ -24,6 +24,13 @@ import (
 // zero physical memory of a real guest.
 func Digest(m *machine.Machine, v *vmm.VMM) uint64 {
 	h := newFNVDigest()
+	digestRAM(h, m)
+	digestState(h, m, v)
+	return h.Sum64()
+}
+
+// digestRAM feeds physical memory into h, Digest's first part.
+func digestRAM(h *fnvDigest, m *machine.Machine) {
 	ram := m.Bus.RAM()
 	// Walk RAM by the CPU's write-coverage granule: a clear coverage bit
 	// proves its 1 MB block was never written and is still zero, so it
@@ -45,7 +52,11 @@ func Digest(m *machine.Machine, v *vmm.VMM) uint64 {
 		}
 		off = end
 	}
+}
 
+// digestState feeds everything but physical memory into h, Digest's
+// second part.
+func digestState(h *fnvDigest, m *machine.Machine, v *vmm.VMM) {
 	var buf [8]byte
 	w32 := func(x uint32) {
 		binary.LittleEndian.PutUint32(buf[:4], x)
@@ -136,7 +147,6 @@ func Digest(m *machine.Machine, v *vmm.VMM) uint64 {
 		wpic(v.VPICState())
 		wpit(v.VPITState())
 	}
-	return h.Sum64()
 }
 
 // FrameDigest hashes a transmitted frame for the EvFrame timeline:

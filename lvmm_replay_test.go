@@ -2,7 +2,9 @@ package lvmm
 
 import (
 	"bytes"
+	"fmt"
 	"hash/fnv"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -401,6 +403,15 @@ func TestCrossEngineRecordReplay(t *testing.T) {
 // Without the SBStats assertion, a tier that silently never engages would
 // pass TestCrossEngineRecordReplay vacuously.
 func TestRecordOnChainedTierReplaysOnSlow(t *testing.T) {
+	for _, runs := range []uint32{32, 1} {
+		t.Run(fmt.Sprintf("native-at-%d-runs", runs), func(t *testing.T) {
+			defer cpu.SetNativeThreshold(cpu.SetNativeThreshold(runs))
+			recordOnChainedTierReplaysOnSlow(t)
+		})
+	}
+}
+
+func recordOnChainedTierReplaysOnSlow(t *testing.T) {
 	w := WorkloadDefaults(100)
 	w.Seconds = 0.15
 	target, err := NewStreamingTarget(Lightweight, w)
@@ -412,6 +423,9 @@ func TestRecordOnChainedTierReplaysOnSlow(t *testing.T) {
 	sb := target.Machine().CPU.SBStats()
 	if sb.Runs == 0 || sb.ChainHits == 0 {
 		t.Fatalf("recording never engaged the chained superblock tier: %+v", sb)
+	}
+	if runtime.GOARCH == "amd64" && sb.NativeRuns == 0 {
+		t.Fatalf("recording never ran native blocks: %+v", sb)
 	}
 
 	rt := replayTrace(t, data)
@@ -626,8 +640,8 @@ func TestTraceSerializationRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBlockCountersDeterministic: the superblock tier's counters are
-// derived from the run alone — two identical recorded runs report the
+// TestBlockCountersDeterministic: the superblock tier's counters, the
+// native tier's included, are derived from the run alone — two identical recorded runs report the
 // same counters — and stay out of the trace: both recordings, and one
 // made on the forced-slow engine, where the tier never runs, are the same
 // bytes.
@@ -652,12 +666,16 @@ func TestBlockCountersDeterministic(t *testing.T) {
 	if sa.MemInline == 0 || sa.ChainHits == 0 {
 		t.Fatalf("the run never ran memory ops inline in chained blocks: %v", sa)
 	}
+	if runtime.GOARCH == "amd64" && (sa.NativeBlocks == 0 || sa.NativeBytes == 0 || sa.NativeRuns == 0 ||
+		sa.NativeExitTLB+sa.NativeExitEnvelope+sa.NativeExitSMC+sa.NativeExitRange == 0) {
+		t.Fatalf("the run never compiled, entered and left native blocks: %v", sa)
+	}
 	if !bytes.Equal(a, b) {
 		t.Fatal("identical runs recorded different trace bytes")
 	}
 	slow, ss := record(true)
-	if ss.Runs != 0 {
-		t.Fatalf("forced-slow run entered blocks: %v", ss)
+	if ss.Runs != 0 || ss.NativeBlocks != 0 {
+		t.Fatalf("forced-slow run entered or compiled blocks: %v", ss)
 	}
 	if !bytes.Equal(a, slow) {
 		t.Fatal("the block tier changed the trace bytes")
